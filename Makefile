@@ -9,7 +9,7 @@ RACE_FAST_PKGS = ./internal/engine ./internal/biclique ./internal/transport
 CHAOS_RUNS ?= 50
 FUZZTIME   ?= 20s
 
-.PHONY: build test lint vet race race-fast bench bench-smoke obs-smoke chaos chaos-split fuzz-short cover escape-gate ci
+.PHONY: build test lint vet race race-fast bench bench-smoke benchmark-smoke obs-smoke chaos chaos-split fuzz-short cover escape-gate ci
 
 build:
 	$(GO) build $(PKGS)
@@ -40,15 +40,29 @@ bench:
 
 ## bench-smoke: short fixed-seed batching A/B (the BENCH_3 experiment at
 ## -quick scale), the store A/B (the BENCH_4 experiment at -quick scale),
-## the data-plane allocation benchmarks, and the allocation ceiling gate
-## (scripts/alloc_gate.sh, ceiling in ci/alloc_ceiling.txt). Writes
+## the data-plane allocation benchmarks (sparse and dense/emitting), the
+## result-path benchmark (BenchmarkProbeEmit: ns/pair and B/pair at 1, 32
+## and 4096 matches per probe), and the allocation ceiling gate
+## (scripts/alloc_gate.sh, ceilings in ci/alloc_ceiling.txt). Writes
 ## bench-smoke.json, which CI archives as an artifact; a regression in
 ## the batched path shows up as the speedup column sliding toward 1.0.
 bench-smoke:
 	$(GO) run ./cmd/fastjoin-bench -figure batch -quick -json bench-smoke.json
 	$(GO) run ./cmd/fastjoin-bench -figure store -quick -json bench-smoke-store.json
 	$(GO) test -run='^$$' -bench 'BenchmarkDataPlane' -benchtime=3x ./internal/biclique
+	$(GO) test -run='^$$' -bench 'BenchmarkProbeEmit' -benchtime=2000x ./internal/biclique
 	./scripts/alloc_gate.sh
+
+## benchmark-smoke: the checks of the nested regression-benchmark module
+## (benchmark/, own go.mod — `go build ./...`, `go test ./...` and `make
+## lint` at the root do not descend into it): go vet, its unit tests plus a
+## ~1 s-scale run of every BENCHMARK.json workload, and fastjoin-lint built
+## once at the root and run from inside the module. The module imports
+## fastjoin/internal/... directly, so this is what catches an internal-API
+## break before the benchmark pipeline does.
+benchmark-smoke:
+	$(GO) build -o .bench_build/fastjoin-lint ./cmd/fastjoin-lint
+	cd benchmark && $(GO) vet . && $(GO) test ./... && ../.bench_build/fastjoin-lint ./...
 
 ## obs-smoke: boot a real join server with the observability endpoint,
 ## stream a workload at it, and scrape /metrics and /stats.json mid-run,
@@ -96,4 +110,4 @@ escape-gate:
 	./scripts/escape_gate.sh
 
 ## ci: everything the CI workflow gates on. `lint` includes go vet.
-ci: build lint escape-gate test race obs-smoke
+ci: build lint escape-gate test benchmark-smoke race obs-smoke

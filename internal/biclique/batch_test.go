@@ -46,7 +46,7 @@ func TestBatchingExactlyOnceUnderMigration(t *testing.T) {
 			MinStored: 16,
 		},
 	}
-	sys, got := runFinite(t, cfg, tuples)
+	sys, got := runFinitePaced(t, cfg, tuples)
 	assertExactlyOnce(t, referenceJoin(tuples, pred), got)
 	if sys.Metrics().Migrations.Value() == 0 {
 		t.Error("expected at least one migration; batched fencing untested otherwise")

@@ -93,6 +93,7 @@ func runChaos(t *testing.T, profileName string, seed uint64, nTuples int, mutate
 	tuples := makeWorkload(nTuples, 30, 0.5, int64(seed)+100)
 	cfg := chaosBaseConfig(seed)
 	cfg.Chaos = chaos.NewInjector(profile, int64(seed))
+	cfg.Sources = []TupleSource{sliceSource(tuples)}
 	for _, m := range mutate {
 		m(&cfg)
 	}
@@ -100,7 +101,6 @@ func runChaos(t *testing.T, profileName string, seed uint64, nTuples int, mutate
 	col := newPairCollector()
 	cfg.EmitResults = true
 	cfg.OnResult = col.add
-	cfg.Sources = []TupleSource{sliceSource(tuples)}
 	sys, err := Start(cfg)
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -220,7 +220,7 @@ func TestChaosAbortRollback(t *testing.T) {
 	col := newPairCollector()
 	cfg.EmitResults = true
 	cfg.OnResult = col.add
-	cfg.Sources = []TupleSource{sliceSource(tuples)}
+	cfg.Sources = []TupleSource{paced(sliceSource(tuples))}
 	sys, err := Start(cfg)
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -305,7 +305,6 @@ func TestChaosClassify(t *testing.T) {
 		{SplitAck{}, chaos.ClassReport},
 		{SplitDrained{}, chaos.ClassReport},
 		{stream.Tuple{}, chaos.ClassOther},
-		{stream.JoinedPair{}, chaos.ClassOther},
 		{nil, chaos.ClassOther},
 	}
 	for _, c := range cases {

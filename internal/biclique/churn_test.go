@@ -55,30 +55,6 @@ func makeChurnWorkload(n int, seed int64) []stream.Tuple {
 	return tuples
 }
 
-// pacedChurnSource drips the slice out with a short sleep every few
-// tuples. The scenario's liveness claim — splits activate, cool, and
-// retire — assumes the stream arrives over time rather than as one
-// burst: on a loaded single-core box a burst lets the spout and
-// dispatcher race the entire finite workload through before the owner
-// joiner is ever scheduled, so the ack returns after the hot keys have
-// cooled and the pending is abandoned — a void run. The sleep points
-// (several per detector epoch) bound how far the dispatcher can run
-// ahead of the handshake round trip.
-func pacedChurnSource(tuples []stream.Tuple) TupleSource {
-	i := 0
-	return func() (stream.Tuple, bool) {
-		if i >= len(tuples) {
-			return stream.Tuple{}, false
-		}
-		if i%50 == 0 {
-			time.Sleep(time.Millisecond)
-		}
-		t := tuples[i]
-		i++
-		return t, true
-	}
-}
-
 // runChurn executes one seeded churn run: split-enabled, windowed stores,
 // fault profile applied. After the data traffic settles it keeps the
 // system running — the stats ticks drive the window Advance, the members'
@@ -114,7 +90,15 @@ func runChurn(t *testing.T, profileName string, seed uint64, mutate ...func(*Con
 	col := newPairCollector()
 	cfg.EmitResults = true
 	cfg.OnResult = col.add
-	cfg.Sources = []TupleSource{pacedChurnSource(tuples)}
+	// Paced: the scenario's liveness claim — splits activate, cool, and
+	// retire — assumes the stream arrives over time rather than as one
+	// burst. On a loaded single-core box a burst lets the spout and
+	// dispatcher race the entire finite workload through before the owner
+	// joiner is ever scheduled, so the ack returns after the hot keys have
+	// cooled and the pending is abandoned — a void run. The sleep points
+	// (several per detector epoch) bound how far the dispatcher can run
+	// ahead of the handshake round trip.
+	cfg.Sources = []TupleSource{paced(sliceSource(tuples))}
 	sys, err := Start(cfg)
 	if err != nil {
 		t.Fatalf("Start: %v", err)

@@ -36,10 +36,13 @@ type joinerBolt struct {
 
 	store window.Store
 
-	// pairs accumulates matched pairs during Execute and is emitted as one
-	// pooled *PairBatch to the sink (which recycles it). Flushed at the end
-	// of every Execute, so a batch never outlives the delivery it came from.
-	pairs *PairBatch
+	// pairs accumulates the probes' matched runs during Execute and is
+	// emitted as one pooled *PairBatch to the sink (which recycles it).
+	// Flushed at the end of every Execute, so a batch never outlives the
+	// delivery it came from. runOpen says the batch's last header belongs
+	// to the probe in progress, whose next run extends it.
+	pairs   *PairBatch
+	runOpen bool
 
 	// Probe statistics: total arrivals since the last load report, an
 	// EWMA-smoothed probe pressure (φ_si ≈ arrivals + backlog, the paper's
@@ -50,11 +53,11 @@ type joinerBolt struct {
 	probeCur       map[stream.Key]int64
 	probePrev      map[stream.Key]int64
 
-	// Probe scratch: the match callback is bound once in Prepare and fed
+	// Probe scratch: the run callback is bound once in Prepare and fed
 	// per-probe state through these fields. Passing a fresh closure to
-	// ForEachMatch would heap-allocate it (plus its captured counters) on
+	// ForEachRun would heap-allocate it (plus its captured counters) on
 	// every probe, since the interface call is an escape point.
-	probeFn      func(stream.Tuple)
+	runFn        func([]stream.Tuple)
 	probeTuple   stream.Tuple
 	probeNow     int64
 	probeOut     *engine.Collector
@@ -163,18 +166,7 @@ func (b *joinerBolt) Prepare(ctx engine.Context, _ *engine.Collector) {
 	b.splitTaint = make(map[stream.Key]bool)
 	b.splitActive = make(map[stream.Key]bool)
 	b.splitResidual = make(map[stream.Key]*residualDrain)
-	pred := b.cfg.Predicate
-	b.probeFn = func(stored stream.Tuple) {
-		b.probeScanned++
-		pair := b.makePair(stored, b.probeTuple, b.probeNow)
-		if pred != nil && !pred(pair.R, pair.S) {
-			return
-		}
-		b.probeMatches++
-		if b.cfg.EmitResults {
-			b.appendPair(pair, b.probeOut)
-		}
-	}
+	b.runFn = b.emitRun
 	b.opsSince = time.Now()
 	if t := b.cfg.Migration.AbortTimeout; t > 0 {
 		// The timeout is measured in stats ticks so the decision is made
@@ -354,8 +346,8 @@ func (b *joinerBolt) probe(tm TupleMsg, out *engine.Collector) {
 	b.probeTuple = tm.T
 	b.probeNow = stream.Now()
 	b.probeOut = out
-	b.probeMatches, b.probeScanned = 0, 0
-	b.store.ForEachMatch(key, b.probeFn)
+	b.probeMatches, b.probeScanned, b.runOpen = 0, 0, false
+	b.store.ForEachRun(key, b.runFn)
 	b.probeOut = nil
 	if !b.cfg.EmitResults && b.probeMatches > 0 {
 		b.met.Results.Mark(b.probeMatches)
@@ -373,50 +365,84 @@ func (b *joinerBolt) probe(tm TupleMsg, out *engine.Collector) {
 	b.met.Latency.Observe(stream.Now() - tm.SentAt)
 }
 
-// appendPair adds one matched pair to the pooled result batch, flushing
-// when it fills. Emitting pairs by the batch instead of one Emit per pair
-// removes the per-pair message-envelope allocation that dominated the probe
-// path on hot keys.
+// emitRun is the probe's per-run callback (bound to runFn): run is a
+// read-only view of stored tuples matching the probe in progress on key
+// equality, valid only for this call. Without a predicate the whole run is
+// a match and ships with one bulk copy — or, in count-only mode, is merely
+// counted, which makes a probe O(chunks). With a predicate the run is
+// filtered in place, each accepted tuple appended as soon as it is
+// accepted: a predicate that panics loses the rest of its own probe and
+// nothing that was matched before it.
 //
 //lint:hotpath
-func (b *joinerBolt) appendPair(p stream.JoinedPair, out *engine.Collector) {
-	if b.pairs == nil {
-		b.pairs = getPairBatch()
+func (b *joinerBolt) emitRun(run []stream.Tuple) {
+	b.probeScanned += len(run)
+	pred := b.cfg.Predicate
+	if pred == nil {
+		b.probeMatches += int64(len(run))
+		if b.cfg.EmitResults {
+			b.appendRun(run)
+		}
+		return
 	}
-	b.pairs.Pairs = append(b.pairs.Pairs, p)
-	if len(b.pairs.Pairs) >= pairBatchCap {
-		b.flushPairs(out)
+	for i := range run {
+		r, s := &run[i], &b.probeTuple
+		if b.side == stream.S {
+			r, s = s, r
+		}
+		if !pred(*r, *s) {
+			continue
+		}
+		b.probeMatches++
+		if b.cfg.EmitResults {
+			b.appendRun(run[i : i+1])
+		}
+	}
+}
+
+// appendRun copies matched stored tuples of the probe in progress into the
+// pooled result batch — one memmove, no pair is built here — flushing
+// whenever the batch fills, so a long run spills across batches. The run
+// header is written or extended only after its tuples are in Stored:
+// whatever unwinds the probe, ΣN == len(Stored) holds and the sink never
+// reads past the payload.
+//
+//lint:hotpath
+func (b *joinerBolt) appendRun(run []stream.Tuple) {
+	for len(run) > 0 {
+		pb := b.pairs
+		if pb == nil {
+			pb = getPairBatch()
+			pb.StoreSide, pb.Instance = b.side, b.ctx.Task
+			b.pairs = pb
+		}
+		n := min(len(run), pairBatchCap-len(pb.Stored))
+		pb.Stored = append(pb.Stored, run[:n]...)
+		if b.runOpen {
+			pb.Runs[len(pb.Runs)-1].N += n
+		} else {
+			pb.Runs = append(pb.Runs, PairRun{Probe: b.probeTuple, JoinedAt: b.probeNow, N: n})
+			b.runOpen = true
+		}
+		run = run[n:]
+		if len(pb.Stored) == pairBatchCap {
+			b.flushPairs(b.probeOut)
+		}
 	}
 }
 
 // flushPairs emits the accumulated result batch, handing ownership to the
-// sink (which returns the batch to the pool after draining it).
+// sink (which returns the batch to the pool after draining it). Emitting
+// results by the batch instead of one Emit per pair removes the per-pair
+// message-envelope allocation that dominated the probe path on hot keys.
 //
 //lint:hotpath
 func (b *joinerBolt) flushPairs(out *engine.Collector) {
-	if b.pairs == nil || len(b.pairs.Pairs) == 0 {
+	if b.pairs == nil {
 		return
 	}
 	out.Emit(streamResults, b.pairs)
-	b.pairs = nil
-}
-
-// makePair orients (stored, probing) into (R, S); joinedAt is the
-// probe's clock read (one per probe, shared by every pair it yields).
-//
-//lint:hotpath
-func (b *joinerBolt) makePair(stored, probing stream.Tuple, joinedAt int64) stream.JoinedPair {
-	p := stream.JoinedPair{
-		StoreSide: b.side,
-		Instance:  b.ctx.Task,
-		JoinedAt:  joinedAt,
-	}
-	if b.side == stream.R {
-		p.R, p.S = stored, probing
-	} else {
-		p.R, p.S = probing, stored
-	}
-	return p
+	b.pairs, b.runOpen = nil, false
 }
 
 // trace emits one control-plane event for the migration attempt of the

@@ -126,24 +126,6 @@ func TestConsumePacesAtServiceRate(t *testing.T) {
 	}
 }
 
-func TestMakePairOrientation(t *testing.T) {
-	r := newTestJoiner(t, Config{})
-	r.side = stream.R
-	stored := stream.Tuple{Side: stream.R, Key: 1, Seq: 10}
-	probing := stream.Tuple{Side: stream.S, Key: 1, Seq: 20}
-	p := r.makePair(stored, probing, stream.Now())
-	if p.R.Seq != 10 || p.S.Seq != 20 {
-		t.Errorf("R-side pair = %+v", p)
-	}
-
-	s := newTestJoiner(t, Config{})
-	s.side = stream.S
-	p = s.makePair(probing, stored, stream.Now()) // stored is now the S tuple
-	if p.R.Seq != 10 || p.S.Seq != 20 {
-		t.Errorf("S-side pair = %+v", p)
-	}
-}
-
 // Regression: probe() used to observe stream.Now() - SentAt for every
 // probe, so tuples replayed from a migration flush carried stamps stale
 // by the whole handshake and every migration spiked the latency tail by

@@ -80,23 +80,52 @@ type ShuffleBatch struct {
 	Tuples []stream.Tuple
 }
 
-// PairBatch carries matched pairs from a joiner to the sink as a single
-// pooled message. Unlike the tuple batches, PairBatch IS recycled: the sink
-// is the sole subscriber of the results stream and returns each drained
-// batch to the pool, and the chaos classifier pins the type to ClassData,
-// which no profile drops or duplicates — so exactly one consumer ever sees
-// a batch before it is reused. (Recycling a type a profile could duplicate
-// would let the second delivery observe a reused buffer.)
+// PairBatch carries join results from a joiner to the sink as a single
+// pooled message, in run layout: the matches of one probe are the probing
+// tuple once (a PairRun header) plus the stored tuples it matched, copied
+// in bulk out of the window store into the flat Stored slice. Run i owns
+// the next Runs[i].N tuples of Stored, in order, so ΣN == len(Stored). The
+// sink materialises the pairs (see sinkBolt.expand); nothing upstream of it
+// ever builds a stream.JoinedPair.
+//
+// Unlike the tuple batches, PairBatch IS recycled: the sink is the sole
+// subscriber of the results stream and returns each drained batch to the
+// pool, and the chaos classifier pins the type to ClassData, which no
+// profile drops or duplicates — so exactly one consumer ever sees a batch
+// before it is reused. (Recycling a type a profile could duplicate would
+// let the second delivery observe a reused buffer.)
 type PairBatch struct {
-	Pairs []stream.JoinedPair
+	// StoreSide and Instance identify the emitting join instance; every
+	// pair of the batch carries them.
+	StoreSide stream.Side
+	Instance  int
+	Runs      []PairRun
+	Stored    []stream.Tuple
 }
 
-// pairBatchCap is the flush threshold of a joiner's result batch; a probe
-// on a hot key spills into multiple batches.
+// PairRun is one probe's share of a PairBatch: the probing tuple, the
+// probe's clock read, and how many consecutive tuples of PairBatch.Stored
+// it matched. A probe with more matches than fit spills into the next
+// batch under a fresh header.
+type PairRun struct {
+	Probe    stream.Tuple
+	JoinedAt int64 // unix nanoseconds
+	N        int
+}
+
+// pairBatchCap is the flush threshold of a joiner's result batch, in
+// stored tuples (= pairs); a probe on a hot key spills into multiple
+// batches.
 const pairBatchCap = 256
 
+// A fresh batch has room for one delivery's worth of probes (a TupleBatch
+// carries at most DefaultBatchSize by default); Runs grows past that only
+// when larger deliveries of few-match probes share a batch.
 var pairPool = sync.Pool{New: func() any {
-	return &PairBatch{Pairs: make([]stream.JoinedPair, 0, pairBatchCap)}
+	return &PairBatch{
+		Runs:   make([]PairRun, 0, DefaultBatchSize),
+		Stored: make([]stream.Tuple, 0, pairBatchCap),
+	}
 }}
 
 func getPairBatch() *PairBatch { return pairPool.Get().(*PairBatch) }
@@ -104,8 +133,10 @@ func getPairBatch() *PairBatch { return pairPool.Get().(*PairBatch) }
 // putPairBatch recycles a drained batch, dropping payload references so the
 // pool does not pin the joined tuples alive.
 func putPairBatch(b *PairBatch) {
-	clear(b.Pairs)
-	b.Pairs = b.Pairs[:0]
+	clear(b.Runs)
+	b.Runs = b.Runs[:0]
+	clear(b.Stored)
+	b.Stored = b.Stored[:0]
 	pairPool.Put(b)
 }
 

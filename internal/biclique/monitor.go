@@ -145,22 +145,43 @@ func newSinkFactory(cfg *Config, met *SystemMetrics) engine.BoltFactory {
 func (b *sinkBolt) Prepare(engine.Context, *engine.Collector) {}
 
 func (b *sinkBolt) Execute(m engine.Message, _ *engine.Collector) {
-	switch v := m.Value.(type) {
-	case *PairBatch:
-		b.met.Results.Mark(int64(len(v.Pairs)))
-		if b.cfg.OnResult != nil {
-			for i := range v.Pairs {
-				b.cfg.OnResult(v.Pairs[i])
+	// The sink subscribes to the joiners' result stream only.
+	pb := m.Value.(*PairBatch)
+	b.met.Results.Mark(int64(len(pb.Stored)))
+	if b.cfg.OnResult != nil {
+		b.expand(pb)
+	}
+	// The batch is drained; recycle it for the joiners.
+	putPairBatch(pb)
+}
+
+// expand materialises a batch's pairs for the user callback. This is the
+// only place a JoinedPair is built: once per run, on the stack, with only
+// the stored side rewritten per match. OnResult runs on this one goroutine
+// (the sink has a single task), which is what lets users keep unlocked
+// state behind it.
+//
+//lint:hotpath
+func (b *sinkBolt) expand(pb *PairBatch) {
+	onResult := b.cfg.OnResult
+	stored := pb.Stored
+	for i := range pb.Runs {
+		run := &pb.Runs[i]
+		matched := stored[:run.N]
+		stored = stored[run.N:]
+		pair := stream.JoinedPair{StoreSide: pb.StoreSide, Instance: pb.Instance, JoinedAt: run.JoinedAt}
+		if pb.StoreSide == stream.R {
+			pair.S = run.Probe
+			for j := range matched {
+				pair.R = matched[j]
+				onResult(pair)
 			}
-		}
-		// The batch is drained; recycle it for the joiners.
-		putPairBatch(v)
-	case stream.JoinedPair:
-		// Legacy single-pair delivery, kept for tests that feed the sink
-		// directly.
-		b.met.Results.Mark(1)
-		if b.cfg.OnResult != nil {
-			b.cfg.OnResult(v)
+		} else {
+			pair.R = run.Probe
+			for j := range matched {
+				pair.S = matched[j]
+				onResult(pair)
+			}
 		}
 	}
 }

@@ -360,14 +360,14 @@ func TestFilterFrozenKeysNoRetention(t *testing.T) {
 
 	o1 := (b.router.StoreTarget(stream.R, k1) + 1) % b.cfg.JoinersPerSide
 	o2 := (b.router.StoreTarget(stream.R, k2) + 1) % b.cfg.JoinersPerSide
-	for epoch, upd := range map[uint64][]stream.Key{1: {frozen, k1}, 2: {frozen, k2}} {
-		owner := o1
-		if epoch == 2 {
-			owner = o2
-		}
-		b.Execute(engine.Message{Stream: streamRouteUpd, Value: RouteUpdate{
-			Side: stream.R, Keys: upd, NewOwner: owner, Source: 0, Epoch: epoch, MarkerTo: 0,
-		}}, out)
+	// In epoch order: the dispatcher drops an update older than the last one
+	// it applied for the same source.
+	for i, upd := range []RouteUpdate{
+		{Keys: []stream.Key{frozen, k1}, NewOwner: o1},
+		{Keys: []stream.Key{frozen, k2}, NewOwner: o2},
+	} {
+		upd.Side, upd.Epoch = stream.R, uint64(i+1)
+		b.Execute(engine.Message{Stream: streamRouteUpd, Value: upd}, out)
 	}
 
 	if got := b.router.StoreTarget(stream.R, k1); got != o1 {

@@ -335,7 +335,7 @@ func TestSplitMigrateUnsplitInterleaving(t *testing.T) {
 	t.Run("nochaos", func(t *testing.T) {
 		tuples := makePhasedWorkload(n, 21)
 		cfg := splitTestConfig(5)
-		sys, got := runFinite(t, cfg, tuples)
+		sys, got := runFinitePaced(t, cfg, tuples)
 		assertExactlyOnce(t, referenceJoin(tuples, cfg.Predicate), got)
 
 		met := sys.Metrics()

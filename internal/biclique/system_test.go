@@ -77,6 +77,24 @@ func sliceSource(tuples []stream.Tuple) TupleSource {
 	}
 }
 
+// paced drips src out with a short sleep every 50 tuples, so a finite run
+// lasts at least n/50 ms however fast the host is. Tests that assert on
+// what the control plane did — a migration fired, a split activated — need
+// that floor: the monitors act on stats ticks, and an unpaced finite input
+// can drain through the whole topology before the first tick, leaving
+// nothing for them to balance. A slow host only stretches the run, so the
+// expectation holds in both directions.
+func paced(src TupleSource) TupleSource {
+	i := 0
+	return func() (stream.Tuple, bool) {
+		if i%50 == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		i++
+		return src()
+	}
+}
+
 // pairCollector gathers emitted pairs with counts.
 type pairCollector struct {
 	mu    sync.Mutex
@@ -103,14 +121,26 @@ func (c *pairCollector) snapshot() map[stream.PairID]int {
 	return out
 }
 
-// runFinite runs a finite workload to completion and returns the system
-// and observed pair counts.
+// runFinite runs a finite workload to completion, unpaced, and returns
+// the system and observed pair counts.
 func runFinite(t *testing.T, cfg Config, tuples []stream.Tuple) (*System, map[stream.PairID]int) {
+	t.Helper()
+	return runSource(t, cfg, sliceSource(tuples))
+}
+
+// runFinitePaced is runFinite for tests that assert the control plane
+// acted during the run (see paced).
+func runFinitePaced(t *testing.T, cfg Config, tuples []stream.Tuple) (*System, map[stream.PairID]int) {
+	t.Helper()
+	return runSource(t, cfg, paced(sliceSource(tuples)))
+}
+
+func runSource(t *testing.T, cfg Config, src TupleSource) (*System, map[stream.PairID]int) {
 	t.Helper()
 	col := newPairCollector()
 	cfg.EmitResults = true
 	cfg.OnResult = col.add
-	cfg.Sources = []TupleSource{sliceSource(tuples)}
+	cfg.Sources = []TupleSource{src}
 	sys, err := Start(cfg)
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -208,7 +238,7 @@ func TestMigrationExactlyOnceUnderSkew(t *testing.T) {
 			MinStored: 16,
 		},
 	}
-	sys, got := runFinite(t, cfg, tuples)
+	sys, got := runFinitePaced(t, cfg, tuples)
 	assertExactlyOnce(t, referenceJoin(tuples, pred), got)
 	if sys.Metrics().Migrations.Value() == 0 {
 		t.Error("expected at least one migration under heavy skew; protocol untested otherwise")
@@ -499,7 +529,7 @@ func TestWindowedMigrationExactlyOnce(t *testing.T) {
 			MinStored: 16,
 		},
 	}
-	sys, got := runFinite(t, cfg, tuples)
+	sys, got := runFinitePaced(t, cfg, tuples)
 	assertExactlyOnce(t, referenceJoin(tuples, pred), got)
 	if sys.Metrics().Migrations.Value() == 0 {
 		t.Error("expected migrations in the windowed run")

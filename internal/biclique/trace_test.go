@@ -66,10 +66,13 @@ func kindsOf(s obs.Span) []obs.Kind {
 
 // TestTraceSpansCleanRun checks that a fault-free skewed run produces one
 // complete span per migration and that migrations actually happen (the
-// trace has something to say).
+// trace has something to say) — on any host, hence the paced input.
 func TestTraceSpansCleanRun(t *testing.T) {
 	tr := obs.NewTracer(1 << 16)
-	sys := runChaos(t, "none", 3, 6000, func(c *Config) { c.Tracer = tr })
+	sys := runChaos(t, "none", 3, 6000, func(c *Config) {
+		c.Tracer = tr
+		c.Sources[0] = paced(c.Sources[0])
+	})
 	if sys.Metrics().Migrations.Value() == 0 {
 		t.Fatal("run produced no migrations; trace test exercised nothing")
 	}

@@ -175,16 +175,19 @@ func (s *chunkStore) ForEachMatch(key stream.Key, fn func(t stream.Tuple)) {
 	}
 }
 
-func (s *chunkStore) Matches(key stream.Key) []stream.Tuple {
+//lint:hotpath
+func (s *chunkStore) ForEachRun(key stream.Key, fn func(run []stream.Tuple)) {
 	e := s.lookup(key)
-	if e == nil || e.count == 0 {
-		return nil
+	if e == nil {
+		return
 	}
-	out := make([]stream.Tuple, 0, e.count)
+	// No linked chunk is empty (Add fills a new tail at once, expireHead
+	// releases a drained head before it returns), so every view is a run.
 	for c := e.head; c != nil; c = c.next {
-		out = append(out, c.buf[c.start:c.end]...)
+		// Capacity-capped: an append through the view reallocates instead of
+		// overwriting the chunk's unexposed tail.
+		fn(c.buf[c.start:c.end:c.end])
 	}
-	return out
 }
 
 func (s *chunkStore) RemoveKey(key stream.Key) []stream.Tuple {

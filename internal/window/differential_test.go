@@ -9,6 +9,35 @@ import (
 	"fastjoin/internal/stream"
 )
 
+// matches collects a key's stored tuples in probe order.
+func matches(s Store, key stream.Key) []stream.Tuple {
+	var out []stream.Tuple
+	s.ForEachMatch(key, func(tu stream.Tuple) { out = append(out, tu) })
+	return out
+}
+
+// assertRunsEqualMatches checks ForEachRun against ForEachMatch: the views,
+// copied out during the callback and concatenated, must be the key's tuples
+// in probe order, and no view may be empty.
+func assertRunsEqualMatches(t *testing.T, name string, s Store, key stream.Key, want []stream.Tuple) {
+	t.Helper()
+	var got []stream.Tuple
+	s.ForEachRun(key, func(run []stream.Tuple) {
+		if len(run) == 0 {
+			t.Fatalf("%s ForEachRun(%d) delivered an empty run", name, key)
+		}
+		got = append(got, run...)
+	})
+	if len(got) != len(want) {
+		t.Fatalf("%s ForEachRun(%d): %d tuples, ForEachMatch %d", name, key, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s ForEachRun(%d)[%d]=%+v, ForEachMatch %+v", name, key, i, got[i], want[i])
+		}
+	}
+}
+
 // assertStoresEqual compares every observable of the two stores over the
 // given key universe: totals, per-key counts, exact match sets in probe
 // order, and the sub-window vector.
@@ -25,23 +54,18 @@ func assertStoresEqual(t *testing.T, chunked, ref Store, keyspace int) {
 		if c, r := chunked.KeyCount(key), ref.KeyCount(key); c != r {
 			t.Fatalf("KeyCount(%d): chunked=%d ref=%d", k, c, r)
 		}
-		cm, rm := chunked.Matches(key), ref.Matches(key)
+		cm, rm := matches(chunked, key), matches(ref, key)
 		if len(cm) != len(rm) {
-			t.Fatalf("Matches(%d): chunked=%d tuples, ref=%d", k, len(cm), len(rm))
+			t.Fatalf("ForEachMatch(%d): chunked=%d tuples, ref=%d", k, len(cm), len(rm))
 		}
 		for i := range cm {
 			if cm[i] != rm[i] {
-				t.Fatalf("Matches(%d)[%d]: chunked=%+v ref=%+v", k, i, cm[i], rm[i])
+				t.Fatalf("ForEachMatch(%d)[%d]: chunked=%+v ref=%+v", k, i, cm[i], rm[i])
 			}
 		}
-		// ForEachMatch must agree with Matches (the probe path itself).
-		i := 0
-		chunked.ForEachMatch(key, func(tu stream.Tuple) {
-			if i >= len(cm) || tu != cm[i] {
-				t.Fatalf("ForEachMatch(%d) diverges from Matches at %d", k, i)
-			}
-			i++
-		})
+		// The result path (runs) must agree with the per-tuple probe path.
+		assertRunsEqualMatches(t, "chunked", chunked, key, cm)
+		assertRunsEqualMatches(t, "ref", ref, key, rm)
 	}
 	cs, rs := chunked.SubWindows(), ref.SubWindows()
 	if len(cs) != len(rs) {

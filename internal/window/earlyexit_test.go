@@ -111,8 +111,8 @@ func TestRefStoreParity(t *testing.T) {
 	if n := w.Advance(160); n != 1 {
 		t.Fatalf("Advance removed %d, want 1 (exact-boundary tuple must survive)", n)
 	}
-	if got := w.Matches(1); len(got) != 1 || got[0].Seq != 2 {
-		t.Fatalf("Matches(1) = %+v, want the Seq=2 survivor", got)
+	if got := matches(w, 1); len(got) != 1 || got[0].Seq != 2 {
+		t.Fatalf("key 1 holds %+v, want the Seq=2 survivor", got)
 	}
 	moved := w.RemoveKey(1)
 	if len(moved) != 1 || w.Keys() != 1 {

@@ -80,14 +80,10 @@ func (s *refStore) ForEachMatch(key stream.Key, fn func(t stream.Tuple)) {
 	}
 }
 
-func (s *refStore) Matches(key stream.Key) []stream.Tuple {
-	src := s.perKey[key]
-	if len(src) == 0 {
-		return nil
+func (s *refStore) ForEachRun(key stream.Key, fn func(run []stream.Tuple)) {
+	if run := s.perKey[key]; len(run) > 0 {
+		fn(run[:len(run):len(run)])
 	}
-	out := make([]stream.Tuple, len(src))
-	copy(out, src)
-	return out
 }
 
 func (s *refStore) RemoveKey(key stream.Key) []stream.Tuple {

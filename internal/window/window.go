@@ -58,8 +58,17 @@ type Store interface {
 	// insertion order. This is the probe path of the join. fn must not
 	// mutate the store.
 	ForEachMatch(key stream.Key, fn func(t stream.Tuple))
-	// Matches returns a copy of the stored tuples with the given key.
-	Matches(key stream.Key) []stream.Tuple
+	// ForEachRun is ForEachMatch by the contiguous run: fn receives the
+	// stored tuples with the given key as a sequence of non-empty slices
+	// that concatenate to ForEachMatch's order (one slice per chunk in the
+	// chunked store, one for the whole key in the map store). Each slice
+	// is a read-only view into the store's own memory, valid only until
+	// fn returns — a later Add, Advance or RemoveKey may recycle the
+	// memory behind it — so fn must copy out what it keeps and must not
+	// write through, append to, or retain the slice. This is the join's
+	// result path: a probe ships each run with one bulk copy. fn must not
+	// mutate the store.
+	ForEachRun(key stream.Key, fn func(run []stream.Tuple))
 	// RemoveKey removes and returns all tuples with the given key, as the
 	// source of a key migration does when extracting the tuples to move
 	// (Algorithm 2, lines 3-8). The returned slice is freshly allocated and

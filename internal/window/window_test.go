@@ -79,16 +79,51 @@ func TestForEachMatchOrder(t *testing.T) {
 	s.ForEachMatch(99, func(stream.Tuple) { t.Error("no matches expected for key 99") })
 }
 
-func TestMatchesIsCopy(t *testing.T) {
-	s := New()
-	s.Add(tup(1, 0, 10))
-	m := s.Matches(1)
-	m[0].Seq = 99
-	if s.Matches(1)[0].Seq != 0 {
-		t.Error("Matches must return a copy")
-	}
-	if s.Matches(42) != nil {
-		t.Error("Matches for absent key should be nil")
+// TestForEachRunViewLifetime pins the view contract from the consumer's
+// side: what the callback copies out stays intact when later Adds and
+// Advances recycle the chunks the views pointed into, and an append
+// through a view cannot reach the store's memory behind it.
+func TestForEachRunViewLifetime(t *testing.T) {
+	for name, s := range map[string]Store{"chunked": NewWindowed(1000, 4), "ref": NewRefWindowed(1000, 4)} {
+		t.Run(name, func(t *testing.T) {
+			const n = 200 // deep enough to chain every chunk size class
+			for i := uint64(0); i < n; i++ {
+				s.Add(tup(1, i, int64(i)))
+			}
+			var copied []stream.Tuple
+			var views [][]stream.Tuple // retained against the contract, to observe the recycling
+			s.ForEachRun(1, func(run []stream.Tuple) {
+				copied = append(copied, run...)
+				views = append(views, run)
+				_ = append(run, tup(1, 999, 999)) // must reallocate, not overwrite the chunk
+			})
+			if got := matches(s, 1); len(got) != n || got[n-1].Seq != n-1 {
+				t.Fatalf("append through a view corrupted the store: %d tuples, last %+v", len(got), got[len(got)-1])
+			}
+
+			// Expire key 1 entirely, then refill with another key: the freed
+			// chunks are handed out again and overwritten.
+			if removed := s.Advance(5000); removed != n {
+				t.Fatalf("Advance removed %d, want %d", removed, n)
+			}
+			for i := uint64(0); i < n; i++ {
+				s.Add(tup(2, 1000+i, 6000))
+			}
+			for i, tu := range copied {
+				if tu != tup(1, uint64(i), int64(i)) {
+					t.Fatalf("copied[%d] = %+v changed after chunk recycling", i, tu)
+				}
+			}
+			if name == "chunked" {
+				recycled := false
+				for _, v := range views {
+					recycled = recycled || v[0].Key != 1
+				}
+				if !recycled {
+					t.Error("no retained view was overwritten: the test did not exercise chunk recycling")
+				}
+			}
+		})
 	}
 }
 
