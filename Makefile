@@ -9,7 +9,7 @@ RACE_FAST_PKGS = ./internal/engine ./internal/biclique ./internal/transport
 CHAOS_RUNS ?= 50
 FUZZTIME   ?= 20s
 
-.PHONY: build test lint vet race race-fast bench bench-smoke benchmark-smoke obs-smoke chaos chaos-split fuzz-short cover escape-gate ci
+.PHONY: build test lint vet race race-fast bench bench-smoke benchmark-smoke obs-smoke chaos chaos-split fuzz-short cover escape-gate footprint-gate ci
 
 build:
 	$(GO) build $(PKGS)
@@ -42,16 +42,19 @@ bench:
 ## -quick scale), the store A/B (the BENCH_4 experiment at -quick scale),
 ## the data-plane allocation benchmarks (sparse and dense/emitting), the
 ## result-path benchmark (BenchmarkProbeEmit: ns/pair and B/pair at 1, 32
-## and 4096 matches per probe), and the allocation ceiling gate
-## (scripts/alloc_gate.sh, ceilings in ci/alloc_ceiling.txt). Writes
-## bench-smoke.json, which CI archives as an artifact; a regression in
-## the batched path shows up as the speedup column sliding toward 1.0.
+## and 4096 matches per probe), the allocation ceiling gate
+## (scripts/alloc_gate.sh, ceilings in ci/alloc_ceiling.txt), and the store
+## footprint gate (BenchmarkStoreFootprint's B/tuple per population shape
+## against ci/store_bytes_ceiling.txt). Writes bench-smoke.json, which CI
+## archives as an artifact; a regression in the batched path shows up as
+## the speedup column sliding toward 1.0.
 bench-smoke:
 	$(GO) run ./cmd/fastjoin-bench -figure batch -quick -json bench-smoke.json
 	$(GO) run ./cmd/fastjoin-bench -figure store -quick -json bench-smoke-store.json
 	$(GO) test -run='^$$' -bench 'BenchmarkDataPlane' -benchtime=3x ./internal/biclique
 	$(GO) test -run='^$$' -bench 'BenchmarkProbeEmit' -benchtime=2000x ./internal/biclique
 	./scripts/alloc_gate.sh
+	./scripts/footprint_gate.sh
 
 ## benchmark-smoke: the checks of the nested regression-benchmark module
 ## (benchmark/, own go.mod — `go build ./...`, `go test ./...` and `make
@@ -91,11 +94,13 @@ chaos-split:
 	$(GO) test -race -count=1 -timeout=15m ./internal/biclique \
 		-run 'TestChaosDifferential/[a-z]+/split=on|TestChaosStoreDifferential/[a-z]+/[a-z]+/split=on|TestSplitMigrateUnsplitInterleaving|TestSplit|TestChaosChurnRetire|TestChurnRetireTraceSpans'
 
-## fuzz-short: bounded fuzzing of the wire-frame decoder and the routing
-## update path (corpora are checked in under testdata/fuzz).
+## fuzz-short: bounded fuzzing of the wire-frame decoder, the routing
+## update path and the window store (an op stream against the chunked store
+## and its map reference; corpora are checked in under testdata/fuzz).
 fuzz-short:
 	$(GO) test ./internal/transport -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/routing -run='^$$' -fuzz=FuzzRoutingUpdate -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/window -run='^$$' -fuzz=FuzzStoreOps -fuzztime=$(FUZZTIME)
 
 ## cover: per-package coverage plus the biclique+core+chaos floor gate
 ## (scripts/coverage_gate.sh, baseline in ci/coverage_baseline.txt).
@@ -109,5 +114,11 @@ cover:
 escape-gate:
 	./scripts/escape_gate.sh
 
+## footprint-gate: the chunked store's reserved bytes per resident tuple
+## (BenchmarkStoreFootprint: sparse, churn, hot) against
+## ci/store_bytes_ceiling.txt (scripts/footprint_gate.sh).
+footprint-gate:
+	./scripts/footprint_gate.sh
+
 ## ci: everything the CI workflow gates on. `lint` includes go vet.
-ci: build lint escape-gate test benchmark-smoke race obs-smoke
+ci: build lint escape-gate footprint-gate test benchmark-smoke race obs-smoke

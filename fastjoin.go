@@ -363,6 +363,13 @@ type Stats struct {
 	KeysUnsplit  int64 `json:"keys_unsplit,omitempty"`
 	ResidualKeys int64 `json:"residual_keys,omitempty"`
 	KeysRetired  int64 `json:"keys_retired,omitempty"`
+	// StoreReservedBytes is the memory the join instances' stores hold on to
+	// (chunk slabs, indexes, expiry heaps), summed over every instance's
+	// latest load report; StoreLiveBytes is the part of it that is resident
+	// tuples. Their ratio is the store's overhead per stored byte; /metrics
+	// breaks both down per instance (fastjoin_store_bytes).
+	StoreReservedBytes int64 `json:"store_reserved_bytes"`
+	StoreLiveBytes     int64 `json:"store_live_bytes"`
 	// Heap/GC gauges (biclique.SystemMetrics.RuntimeSample): live heap at
 	// the snapshot, cumulative allocation, and GC work since the system's
 	// metrics were created. The arena store exists to push AllocBytes and
@@ -392,6 +399,13 @@ func (s *System) Stats() Stats {
 	m := s.sys.Metrics()
 	lat := m.Latency.Snapshot()
 	rt := m.RuntimeSample()
+	var storeReserved, storeLive int64
+	for _, side := range []Side{R, S} {
+		for _, fp := range m.StoreFootprints(side) {
+			storeReserved += fp.Reserved
+			storeLive += fp.Live
+		}
+	}
 	return Stats{
 		System:          s.kind.String(),
 		Results:         m.Results.Count(),
@@ -411,9 +425,13 @@ func (s *System) Stats() Stats {
 		KeysUnsplit:     m.KeysUnsplit.Value(),
 		ResidualKeys:    m.ResidualKeys.Value(),
 		KeysRetired:     m.KeysRetired.Value(),
-		HeapAllocBytes:  rt.HeapAllocBytes,
-		AllocBytes:      rt.AllocBytes,
-		GCCycles:        rt.GCCycles,
-		GCPauseTotalUs:  float64(rt.GCPauseTotal) / 1e3,
+
+		StoreReservedBytes: storeReserved,
+		StoreLiveBytes:     storeLive,
+
+		HeapAllocBytes: rt.HeapAllocBytes,
+		AllocBytes:     rt.AllocBytes,
+		GCCycles:       rt.GCCycles,
+		GCPauseTotalUs: float64(rt.GCPauseTotal) / 1e3,
 	}
 }

@@ -23,9 +23,27 @@ type shufflerBolt struct {
 }
 
 // shuffleLane is one open shuffler→dispatcher batch; like batchLane the
-// slice is handed off on emit and never reused.
+// slice is handed off on emit and never reused, and the next one is sized
+// from this one's fill.
 type shuffleLane struct {
 	tuples []stream.Tuple
+	fill   int // what the last flush carried
+}
+
+// minLaneCap is the smallest array a lane opens with.
+const minLaneCap = 4
+
+// laneCap sizes a lane's next array from the fill its previous flush
+// reached: the next power of two, at least minLaneCap, at most the batch
+// size. The idle flush ships most batches far from full, and a full-size
+// array per flush was most of what the data plane allocated; a lane that
+// outgrows its guess grows by append and opens at that size next time.
+func laneCap(fill, batch int) int {
+	n := minLaneCap
+	for n < fill {
+		n *= 2
+	}
+	return min(n, batch)
 }
 
 func newShufflerFactory(cfg *Config) engine.BoltFactory {
@@ -62,7 +80,7 @@ func (b *shufflerBolt) Execute(m engine.Message, out *engine.Collector) {
 	}
 	ln := &b.lanes[target]
 	if ln.tuples == nil {
-		ln.tuples = make([]stream.Tuple, 0, b.batch)
+		ln.tuples = make([]stream.Tuple, 0, laneCap(ln.fill, b.batch))
 	}
 	ln.tuples = append(ln.tuples, t)
 	if len(ln.tuples) >= b.batch {
@@ -76,6 +94,7 @@ func (b *shufflerBolt) flushShuffleLane(target int, out *engine.Collector) {
 		return
 	}
 	out.EmitDirect(streamTuples, target, ShuffleBatch{Tuples: ln.tuples})
+	ln.fill = len(ln.tuples)
 	ln.tuples = nil // ownership handed off; no recycling
 }
 
@@ -129,9 +148,11 @@ type dispatcherBolt struct {
 
 // batchLane is one open (side, target) batch. The slice is handed to the
 // consumer inside the emitted TupleBatch and never reused afterwards, so
-// duplicated deliveries (fault injection) stay safe.
+// duplicated deliveries (fault injection) stay safe; the next one is sized
+// from this one's fill (laneCap).
 type batchLane struct {
 	msgs []TupleMsg
+	fill int // what the last flush carried
 }
 
 // updateKey identifies the update stream of one migration source.
@@ -278,7 +299,8 @@ func (b *dispatcherBolt) emitTuple(side stream.Side, target int, tm TupleMsg, ou
 	}
 	ln := &b.lanes[side][target]
 	if ln.msgs == nil {
-		ln.msgs = make([]TupleMsg, 0, b.batch)
+		n := laneCap(ln.fill, b.batch)
+		ln.msgs = make([]TupleMsg, 0, n)
 	}
 	ln.msgs = append(ln.msgs, tm)
 	if len(ln.msgs) >= b.batch {
@@ -296,6 +318,7 @@ func (b *dispatcherBolt) flushLane(side stream.Side, target int, out *engine.Col
 	// Ownership of the slice passed to the consumer; the next append
 	// starts a fresh one (no recycling — a duplicated delivery must not
 	// observe a reused backing array).
+	ln.fill = len(ln.msgs)
 	ln.msgs = nil
 }
 

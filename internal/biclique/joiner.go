@@ -1056,6 +1056,7 @@ func (b *joinerBolt) onTick(out *engine.Collector) {
 			Probe:    probe,
 		},
 		SplitKeys: len(b.splitActive),
+		Footprint: b.store.Footprint(),
 	})
 	b.probesInterval = 0
 	// Swap-and-clear instead of a fresh map: the interval maps are hot on

@@ -11,6 +11,7 @@ import (
 
 	"fastjoin/internal/core"
 	"fastjoin/internal/stream"
+	"fastjoin/internal/window"
 )
 
 // Op says what a join instance should do with a tuple.
@@ -152,6 +153,9 @@ type LoadReport struct {
 	// traffic lands; the load model itself needs no correction — salted
 	// stores and fanned-out probes already show up in Stored and Probe.
 	SplitKeys int
+	// Footprint is the instance's store memory: what it holds on to and how
+	// much of that is resident tuples. Exported per instance on /metrics.
+	Footprint window.Footprint
 }
 
 // MigrateCmd is the monitor's instruction to the heaviest instance: run the

@@ -57,6 +57,7 @@ func (b *monitorBolt) Execute(m engine.Message, out *engine.Collector) {
 	case LoadReport:
 		b.latest[v.Load.Instance] = v.Load
 		b.met.RecordSplitReport(b.side, v.Load.Instance, v.SplitKeys)
+		b.met.RecordStoreFootprint(b.side, v.Load.Instance, v.Footprint)
 	case MigrationDone:
 		b.mon.MigrationDone()
 		if v.Epoch != 0 {

@@ -8,6 +8,7 @@ import (
 	"fastjoin/internal/core"
 	"fastjoin/internal/metrics"
 	"fastjoin/internal/stream"
+	"fastjoin/internal/window"
 )
 
 // SystemMetrics aggregates the live measurements of one running join
@@ -96,6 +97,9 @@ type SystemMetrics struct {
 	// splitReported holds each joiner's latest count of actively split
 	// keys it is marked for (LoadReport.SplitKeys), per side/instance.
 	splitReported [2][]int
+	// storeBytes holds each joiner's latest store footprint
+	// (LoadReport.Footprint), per side/instance.
+	storeBytes [2][]window.Footprint
 }
 
 // RuntimeSample is a point-in-time view of the process heap and the GC
@@ -138,6 +142,7 @@ func NewSystemMetrics(joinersPerSide int) *SystemMetrics {
 		m.loadSeries[side] = make([]*metrics.TimeSeries, joinersPerSide)
 		m.lastLoads[side] = make([]core.InstanceLoad, joinersPerSide)
 		m.splitReported[side] = make([]int, joinersPerSide)
+		m.storeBytes[side] = make([]window.Footprint, joinersPerSide)
 		for i := range m.loadSeries[side] {
 			m.loadSeries[side][i] = &metrics.TimeSeries{}
 			m.lastLoads[side][i] = core.InstanceLoad{Instance: i}
@@ -237,6 +242,26 @@ func (m *SystemMetrics) SplitReported(side stream.Side) []int {
 	defer m.mu.Unlock()
 	out := make([]int, len(m.splitReported[side]))
 	copy(out, m.splitReported[side])
+	return out
+}
+
+// RecordStoreFootprint stores one joiner's latest store footprint, as
+// carried by its LoadReport.
+func (m *SystemMetrics) RecordStoreFootprint(side stream.Side, instance int, fp window.Footprint) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if instance >= 0 && instance < len(m.storeBytes[side]) {
+		m.storeBytes[side][instance] = fp
+	}
+}
+
+// StoreFootprints returns the latest per-instance store footprints on a
+// side (index = instance).
+func (m *SystemMetrics) StoreFootprints(side stream.Side) []window.Footprint {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]window.Footprint, len(m.storeBytes[side]))
+	copy(out, m.storeBytes[side])
 	return out
 }
 

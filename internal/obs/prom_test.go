@@ -28,6 +28,18 @@ func goldenFamilies() []Family {
 	// Deliberately shuffled; SortSamples must order 0,1,2,10 numerically.
 	inst.Samples[0], inst.Samples[3] = inst.Samples[3], inst.Samples[0]
 	SortSamples(&inst)
+	// Three labels, the shape of the per-instance store memory family.
+	store := Family{
+		Name: "fastjoin_store_bytes",
+		Help: "Store memory per join instance.",
+		Type: TypeGauge,
+	}
+	for _, kind := range []string{"reserved", "live"} {
+		store.Samples = append(store.Samples, Sample{
+			Labels: L("side", "S", "instance", "3", "kind", kind),
+			Value:  float64(len(kind)) * 65536,
+		})
+	}
 	return []Family{
 		{
 			Name: "fastjoin_results_total", Help: "Joined pairs emitted.",
@@ -46,6 +58,7 @@ func goldenFamilies() []Family {
 			},
 		},
 		inst,
+		store,
 		{
 			Name: "fastjoin_info", Help: "Escaped label value below.",
 			Type:    TypeGauge,

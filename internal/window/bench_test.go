@@ -1,6 +1,7 @@
 package window
 
 import (
+	"math/rand"
 	"testing"
 
 	"fastjoin/internal/stream"
@@ -85,4 +86,57 @@ func BenchmarkStoreAdvance(b *testing.B) {
 			w.Advance(now - 1024*10)
 		}
 	})
+}
+
+// BenchmarkStoreFootprint reports what a store reserves per resident tuple
+// (Footprint().Reserved / Len(), as B/tuple) for the three population shapes
+// that stress a different part of the layout each: one-tuple keys (index
+// entry, expiry entry and chunk header all amortized over a single tuple),
+// low-rate keys in steady churn (freelists, partially expired chunks), and
+// one hot key (64-slot chunks). The numbers are deterministic;
+// scripts/footprint_gate.sh holds the chunked ones under
+// ci/store_bytes_ceiling.txt.
+func BenchmarkStoreFootprint(b *testing.B) {
+	const span = 1_000_000 // benchStores' window
+	shapes := []struct {
+		name string
+		fill func(w Store)
+	}{
+		{"sparse", func(w Store) {
+			for i := 0; i < 100_000; i++ {
+				w.Add(stream.Tuple{Key: stream.Key(i), Seq: uint64(i), EventTime: int64(i)})
+			}
+		}},
+		{"churn", func(w Store) {
+			// 20 k keys drawn uniformly, 26 k arrivals per span: about 1.3 live
+			// tuples per key. Expiry every 1/40 span, for 5 spans.
+			rng := rand.New(rand.NewSource(1))
+			for i := 0; i < 5*26_000; i++ {
+				at := int64(i) * span / 26_000
+				w.Add(stream.Tuple{Key: stream.Key(rng.Intn(20_000)), Seq: uint64(i), EventTime: at})
+				if i%650 == 0 {
+					w.Advance(at)
+				}
+			}
+		}},
+		{"hot", func(w Store) {
+			for i := 0; i < 100_000; i++ {
+				w.Add(stream.Tuple{Key: 7, Seq: uint64(i), EventTime: int64(i)})
+			}
+		}},
+	}
+	for _, shape := range shapes {
+		shape := shape
+		b.Run(shape.name, func(b *testing.B) {
+			benchStores(b, func(b *testing.B, mk func() Store) {
+				var perTuple float64
+				for i := 0; i < b.N; i++ {
+					w := mk()
+					shape.fill(w)
+					perTuple = float64(w.Footprint().Reserved) / float64(w.Len())
+				}
+				b.ReportMetric(perTuple, "B/tuple")
+			})
+		})
+	}
 }

@@ -269,3 +269,212 @@ func TestDifferentialKeyZero(t *testing.T) {
 	}
 	assertStoresEqual(t, chunked, ref, 4)
 }
+
+// churnPair drives a chunked store and its map reference through one churn
+// shape, asserting full observable equivalence — ForEachRun == ForEachMatch
+// == reference for every key — after every op, and recording which size
+// classes each key's newest chunk moved between.
+type churnPair struct {
+	t            *testing.T
+	chunked, ref Store
+	keyspace     int
+	seq          uint64
+	tailClass    map[stream.Key]int
+	ups, downs   map[[2]int]bool
+}
+
+func newChurnPair(t *testing.T, windowed bool, span int64, keyspace int) *churnPair {
+	p := &churnPair{t: t, keyspace: keyspace, tailClass: map[stream.Key]int{}, ups: map[[2]int]bool{}, downs: map[[2]int]bool{}}
+	if windowed {
+		p.chunked, p.ref = NewWindowed(span, 4), NewRefWindowed(span, 4)
+	} else {
+		p.chunked, p.ref = New(), NewRef()
+	}
+	return p
+}
+
+// check compares the stores after an op that touched one key (or, with
+// all set, may have touched any: Advance). An Add or RemoveKey changes one
+// key's chain and the totals, so those are what it re-reads unless the key
+// universe is small enough to sweep every time.
+func (p *churnPair) check(touched stream.Key, all bool) {
+	p.t.Helper()
+	if all || p.keyspace <= 64 {
+		assertStoresEqual(p.t, p.chunked, p.ref, p.keyspace)
+	} else {
+		if p.chunked.Len() != p.ref.Len() || p.chunked.Keys() != p.ref.Keys() {
+			p.t.Fatalf("Len/Keys: chunked=%d/%d ref=%d/%d", p.chunked.Len(), p.chunked.Keys(), p.ref.Len(), p.ref.Keys())
+		}
+		want := matches(p.ref, touched)
+		assertRunsEqualMatches(p.t, "ref", p.ref, touched, want)
+		assertRunsEqualMatches(p.t, "chunked", p.chunked, touched, want)
+		if got := matches(p.chunked, touched); len(got) != len(want) || p.chunked.KeyCount(touched) != len(want) {
+			p.t.Fatalf("ForEachMatch(%d): chunked=%d tuples (KeyCount %d), ref=%d", touched, len(got), p.chunked.KeyCount(touched), len(want))
+		}
+	}
+	classes, _ := chain(p.chunked, touched)
+	if len(classes) == 0 {
+		delete(p.tailClass, touched)
+		return
+	}
+	now := classes[len(classes)-1]
+	if was, ok := p.tailClass[touched]; ok && was != now {
+		if now > was {
+			p.ups[[2]int{was, now}] = true
+		} else {
+			p.downs[[2]int{was, now}] = true
+		}
+	}
+	p.tailClass[touched] = now
+}
+
+func (p *churnPair) add(key stream.Key, at int64) {
+	p.t.Helper()
+	p.seq++
+	tu := stream.Tuple{Side: stream.R, Key: key, Seq: p.seq, EventTime: at}
+	p.chunked.Add(tu)
+	p.ref.Add(tu)
+	p.check(key, false)
+}
+
+func (p *churnPair) advance(now int64) {
+	p.t.Helper()
+	if c, r := p.chunked.Advance(now), p.ref.Advance(now); c != r {
+		p.t.Fatalf("Advance(%d) removed chunked=%d ref=%d", now, c, r)
+	}
+	p.check(0, true)
+}
+
+// remove drops a key from both stores: the unbounded stores' stand-in for
+// expiry (and the migration extract everywhere).
+func (p *churnPair) remove(key stream.Key) {
+	p.t.Helper()
+	c, r := p.chunked.RemoveKey(key), p.ref.RemoveKey(key)
+	if len(c) != len(r) {
+		p.t.Fatalf("RemoveKey(%d): chunked=%d ref=%d", key, len(c), len(r))
+	}
+	p.check(key, false)
+}
+
+func (p *churnPair) wantTransitions(ups, downs [][2]int) {
+	p.t.Helper()
+	for _, tr := range ups {
+		if !p.ups[tr] {
+			p.t.Errorf("no key's tail chunk went from class %d up to %d: the shape does not cover it (saw %v)", tr[0], tr[1], p.ups)
+		}
+	}
+	for _, tr := range downs {
+		if !p.downs[tr] {
+			p.t.Errorf("no key's tail chunk went from class %d down to %d: the shape does not cover it (saw %v)", tr[0], tr[1], p.downs)
+		}
+	}
+}
+
+// TestDifferentialSteadyChurn: low-rate keys over 50 window spans. Every key
+// receives one tuple per period; the periods are spread so live counts sit
+// at 1, a few, and around the small/mid boundary. Two more keys cycle every
+// ten spans — hot, then (the first one only) warm, then slow, then silent —
+// so tail chunks move between all three classes in both directions: up
+// through mid into large while hot, and from large or mid back down once the
+// live count has fallen. The unbounded variant has nothing to expire, so
+// chains only grow; there a cycling key is dropped whole (RemoveKey) when it
+// falls silent and starts again from the small class.
+func TestDifferentialSteadyChurn(t *testing.T) {
+	const (
+		span  = 1000
+		spans = 50
+		keys  = 12
+	)
+	for _, windowed := range []bool{true, false} {
+		windowed := windowed
+		t.Run(fmt.Sprintf("windowed=%v", windowed), func(t *testing.T) {
+			t.Parallel()
+			p := newChurnPair(t, windowed, span, keys)
+			for now := int64(0); now < spans*span; now += 10 {
+				for k := 0; k < keys-2; k++ {
+					// Periods 1200, 600, 400, 300, 240, ...: live counts from under
+					// 1 up to about 8.
+					if period := int64(1200 / (k + 1) / 10 * 10); now%period == 0 {
+						p.add(stream.Key(k), now)
+					}
+				}
+				for r := 0; r < 2; r++ {
+					key := stream.Key(keys - 2 + r)
+					phase := (now + int64(r)*5*span) % (10 * span)
+					var period int64
+					switch {
+					case phase < 2*span:
+						period = 10 // hot: about 100 live
+					case phase < 4*span && r == 0:
+						period = 150 // warm: about 6 live
+					case phase < 7*span:
+						period = 700 // slow: 1 or 2 live
+					case phase == 7*span && !windowed:
+						p.remove(key)
+					}
+					if period > 0 && phase%period == 0 {
+						p.add(key, now)
+					}
+				}
+				if now%50 == 0 {
+					p.advance(now)
+				}
+			}
+			p.wantTransitions([][2]int{{classSmall, classMid}, {classMid, classLarge}}, nil)
+			if windowed {
+				p.wantTransitions(nil, [][2]int{{classLarge, classMid}, {classLarge, classSmall}, {classMid, classSmall}})
+			}
+		})
+	}
+}
+
+// TestDifferentialBurstThenIdle: a steady population, a burst of ten times
+// as many one-tuple keys, then steady traffic again until the burst has
+// expired and the memory it left behind has been released (the rebuild runs
+// one span after the store was first seen oversized). Equivalence holds
+// after every op, including the ones straddling the rebuild, and reserved
+// bytes come back to at most twice the steady state. Unbounded stores never
+// expire: there the burst is extracted key by key, and nothing is released.
+func TestDifferentialBurstThenIdle(t *testing.T) {
+	const (
+		span       = 1000
+		steadyKeys = 300
+		burstKeys  = 10 * steadyKeys
+	)
+	for _, windowed := range []bool{true, false} {
+		windowed := windowed
+		t.Run(fmt.Sprintf("windowed=%v", windowed), func(t *testing.T) {
+			t.Parallel()
+			p := newChurnPair(t, windowed, span, steadyKeys+burstKeys)
+			now := int64(0)
+			steady := func(until int64) {
+				for ; now < until; now += 100 {
+					for k := 0; k < steadyKeys; k += 10 {
+						p.add(stream.Key(k+int(now/100)%10), now)
+					}
+					p.advance(now)
+				}
+			}
+			steady(2 * span)
+			base := p.chunked.Footprint()
+			for k := 0; k < burstKeys; k++ {
+				p.add(stream.Key(steadyKeys+k), now)
+			}
+			peak := p.chunked.Footprint()
+			if peak.Reserved < 2*base.Reserved {
+				t.Fatalf("burst did not grow the store: %d -> %d reserved bytes", base.Reserved, peak.Reserved)
+			}
+			if !windowed {
+				for k := 0; k < burstKeys; k++ {
+					p.remove(stream.Key(steadyKeys + k))
+				}
+				steady(now + span)
+				return
+			}
+			steady(now + 3*span)
+			if after := p.chunked.Footprint(); after.Reserved > 2*base.Reserved {
+				t.Fatalf("reserved bytes %d after the burst expired, steady state %d (peak %d)", after.Reserved, base.Reserved, peak.Reserved)
+			}
+		})
+	}
+}

@@ -158,6 +158,19 @@ func (s *refStore) AppendKeyCounts(dst []KeyCount) []KeyCount {
 
 func (s *refStore) AdvanceVisited() int { return s.visited }
 
+// refKeyBytes estimates what one key costs the map beside its tuples: the
+// key, the slice header and the bucket's share of tophash and overflow
+// pointer, at the runtime's average load factor.
+const refKeyBytes = 48
+
+func (s *refStore) Footprint() Footprint {
+	fp := Footprint{Reserved: int64(len(s.perKey)) * refKeyBytes, Live: int64(s.total) * tupleBytes}
+	for _, tuples := range s.perKey {
+		fp.Reserved += int64(cap(tuples)) * tupleBytes
+	}
+	return fp
+}
+
 func (s *refStore) WatchKey(key stream.Key) bool {
 	if len(s.perKey[key]) == 0 {
 		return true

@@ -7,10 +7,11 @@
 // Two implementations back the Store interface:
 //
 //   - the chunked arena store (New/NewWindowed, the default): per-key deques
-//     are linked chains of fixed-size chunks carved from store-owned slabs
-//     and recycled through per-class freelists, indexed by an open-addressing
-//     uint64 table, with an event-time min-heap making Advance O(expired).
-//     See DESIGN.md "Store memory layout".
+//     are linked chains of chunks sized by the key's live count, carved from
+//     store-owned slabs and recycled through per-class freelists, indexed by
+//     an open-addressing uint64 table, with an event-time min-heap making
+//     Advance O(expired). Memory a burst leaves behind is released once the
+//     burst has expired. See DESIGN.md "Store memory layout".
 //   - the map-based reference store (NewRef/NewRefWindowed): the original
 //     map[Key][]Tuple layout, kept as the differential-testing oracle and as
 //     the A/B baseline for the bench `store` experiment.
@@ -27,6 +28,16 @@ import (
 type KeyCount struct {
 	Key   stream.Key
 	Count int
+}
+
+// Footprint is a store's memory accounting, in bytes.
+type Footprint struct {
+	// Reserved is the memory the store holds on to: chunk slabs (per-key
+	// slices and an estimate of the map's buckets in the reference store),
+	// the index and the expiry heap.
+	Reserved int64
+	// Live is the part of it that is resident tuples: Len() tuples' worth.
+	Live int64
 }
 
 // Store holds the stored tuples of one join instance for one stream.
@@ -98,6 +109,9 @@ type Store interface {
 	// examined over the store's lifetime. Regression tests use it to pin
 	// the O(expired) early-exit behaviour.
 	AdvanceVisited() int
+	// Footprint returns the store's reserved and live bytes. The chunked
+	// store answers in O(1); the reference store walks its keys.
+	Footprint() Footprint
 	// WatchKey arms an emptiness watch on key: when the store later drops
 	// the key's last stored tuple (window expiry via Advance, or an
 	// explicit RemoveKey), the key is queued for TakeDrained. If the key

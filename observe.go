@@ -132,6 +132,7 @@ func (o *obsSource) ObsFamilies() []obs.Family {
 	probe := obs.Family{Name: "fastjoin_instance_probe_pressure", Help: "Per-instance probe arrivals phi_si in the last report interval.", Type: obs.TypeGauge}
 	li := obs.Family{Name: "fastjoin_load_imbalance", Help: "Degree of load imbalance LI per side (monitor's latest observation).", Type: obs.TypeGauge}
 	splitRep := obs.Family{Name: "fastjoin_split_keys_reported", Help: "Actively split keys per join instance, from the latest load report.", Type: obs.TypeGauge}
+	storeBytes := obs.Family{Name: "fastjoin_store_bytes", Help: "Store memory per join instance: bytes reserved (slabs, index, expiry heap) and bytes of resident tuples.", Type: obs.TypeGauge}
 	for _, side := range []stream.Side{stream.R, stream.S} {
 		sideLbl := side.String()
 		for _, l := range m.InstanceLoads(side) {
@@ -144,9 +145,15 @@ func (o *obsSource) ObsFamilies() []obs.Family {
 			splitRep.Samples = append(splitRep.Samples, obs.Sample{
 				Labels: obs.L("side", sideLbl, "instance", strconv.Itoa(inst)), Value: float64(n)})
 		}
+		for inst, fp := range m.StoreFootprints(side) {
+			instLbl := strconv.Itoa(inst)
+			storeBytes.Samples = append(storeBytes.Samples,
+				obs.Sample{Labels: obs.L("side", sideLbl, "instance", instLbl, "kind", "reserved"), Value: float64(fp.Reserved)},
+				obs.Sample{Labels: obs.L("side", sideLbl, "instance", instLbl, "kind", "live"), Value: float64(fp.Live)})
+		}
 		li.Samples = append(li.Samples, obs.Sample{Labels: obs.L("side", sideLbl), Value: m.LastLI(side)})
 	}
-	fams = append(fams, load, stored, probe, li, splitRep)
+	fams = append(fams, load, stored, probe, li, splitRep, storeBytes)
 
 	// Engine queue congestion, per task: the instantaneous backlog and the
 	// deepest backlog observed since start.

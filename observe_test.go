@@ -66,6 +66,7 @@ func TestObserveEndpoint(t *testing.T) {
 		"fastjoin_results_total",
 		"fastjoin_ingested_total",
 		"fastjoin_instance_load",
+		"fastjoin_store_bytes",
 		"fastjoin_load_imbalance",
 		"fastjoin_engine_queue_depth",
 		"fastjoin_engine_queue_high_water",
@@ -80,6 +81,22 @@ func TestObserveEndpoint(t *testing.T) {
 	// Per-instance samples are labeled by side and instance.
 	if !strings.Contains(body, `fastjoin_instance_load{side="R",instance="0"}`) {
 		t.Errorf("/metrics missing per-instance load sample:\n%s", body)
+	}
+
+	// Store memory is labeled by side, instance and kind, and Stats sums it.
+	for _, kind := range []string{"reserved", "live"} {
+		if !strings.Contains(body, `fastjoin_store_bytes{side="S",instance="1",kind="`+kind+`"}`) {
+			t.Errorf("/metrics missing store bytes sample of kind %s", kind)
+		}
+	}
+	// The numbers ride the joiners' load reports: wait for the first tick
+	// after the (full-history) run, by which every stored tuple is counted.
+	st := sys.Stats()
+	for deadline := time.Now().Add(10 * time.Second); st.StoreLiveBytes == 0 && time.Now().Before(deadline); st = sys.Stats() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if st.StoreLiveBytes <= 0 || st.StoreReservedBytes < st.StoreLiveBytes {
+		t.Errorf("Stats store bytes: reserved=%d live=%d after a completed run", st.StoreReservedBytes, st.StoreLiveBytes)
 	}
 
 	resp, body = get(t, base+"/stats.json")

@@ -73,6 +73,7 @@ for family in \
   fastjoin_instance_load \
   fastjoin_instance_stored \
   fastjoin_instance_probe_pressure \
+  fastjoin_store_bytes \
   fastjoin_load_imbalance \
   fastjoin_engine_queue_depth \
   fastjoin_engine_queue_high_water \
@@ -89,6 +90,10 @@ for family in \
 done
 if ! grep -q '^fastjoin_instance_load{side="R",instance="0"}' <<<"$metrics"; then
   echo "obs smoke FAILED: /metrics missing per-instance load sample" >&2
+  fail=1
+fi
+if ! grep -q '^fastjoin_store_bytes{side="R",instance="0",kind="reserved"} [1-9]' <<<"$metrics"; then
+  echo "obs smoke FAILED: /metrics missing a non-zero reserved store bytes sample" >&2
   fail=1
 fi
 if ! grep -q '"results"' <<<"$stats"; then
