@@ -38,19 +38,14 @@ race-fast:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x $(PKGS)
 
-## bench-smoke: short fixed-seed batching A/B (the BENCH_3 experiment at
-## -quick scale), the store A/B (the BENCH_4 experiment at -quick scale),
-## the data-plane allocation benchmarks (sparse and dense/emitting), the
-## result-path benchmark (BenchmarkProbeEmit: ns/pair and B/pair at 1, 32
-## and 4096 matches per probe), the allocation ceiling gate
-## (scripts/alloc_gate.sh, ceilings in ci/alloc_ceiling.txt), and the store
-## footprint gate (BenchmarkStoreFootprint's B/tuple per population shape
-## against ci/store_bytes_ceiling.txt). Writes bench-smoke.json, which CI
-## archives as an artifact; a regression in the batched path shows up as
-## the speedup column sliding toward 1.0.
+## bench-smoke: the data-plane allocation benchmarks (sparse and
+## dense/emitting), the result-path benchmark (BenchmarkProbeEmit: ns/pair
+## and B/pair at 1, 32 and 4096 matches per probe), the allocation ceiling
+## gate (scripts/alloc_gate.sh, ceilings in ci/alloc_ceiling.txt), and the
+## store footprint gate (BenchmarkStoreFootprint's B/tuple per population
+## shape against ci/store_bytes_ceiling.txt). End-to-end numbers, including
+## the batch-size and store sensitivity variants, come from benchmark/.
 bench-smoke:
-	$(GO) run ./cmd/fastjoin-bench -figure batch -quick -json bench-smoke.json
-	$(GO) run ./cmd/fastjoin-bench -figure store -quick -json bench-smoke-store.json
 	$(GO) test -run='^$$' -bench 'BenchmarkDataPlane' -benchtime=3x ./internal/biclique
 	$(GO) test -run='^$$' -bench 'BenchmarkProbeEmit' -benchtime=2000x ./internal/biclique
 	./scripts/alloc_gate.sh

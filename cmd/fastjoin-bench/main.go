@@ -37,10 +37,6 @@ func main() {
 		csvDir   = flag.String("csv", "", "also write each table as CSV into this directory")
 		jsonOut  = flag.String("json", "", "write all reports plus resolved params as one JSON document")
 
-		batchSize   = flag.Int("batch", 0, "dispatcher batch size for every run (0 = default 32, 1 = unbatched)")
-		batchLinger = flag.Duration("batch.linger", 0, "partial-batch flush deadline (0 = default 2ms)")
-		storeImpl   = flag.String("store", "", "window-store implementation for every run (\"\" = default \"chunked\", or \"map\")")
-
 		chaosProfile = flag.String("chaos", "", "fault drill: chaos profile (none, droponly, delayonly, duponly, mixed, abortstorm)")
 		chaosSeed    = flag.Int64("chaos.seed", 1, "chaos injector seed (a drill replays exactly per seed)")
 
@@ -48,11 +44,6 @@ func main() {
 	)
 	flag.Parse()
 
-	store, err := fastjoin.ParseStoreKind(*storeImpl)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	chaos, err := fastjoin.ParseChaosProfile(*chaosProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -77,9 +68,6 @@ func main() {
 		Keys:        *keys,
 		Theta:       *theta,
 		Seed:        *seed,
-		BatchSize:   *batchSize,
-		BatchLinger: *batchLinger,
-		Store:       store,
 		Quick:       *quick,
 
 		ChaosProfile: chaos,

@@ -39,9 +39,7 @@ func TestMigrationLogPopulated(t *testing.T) {
 		Kind:          KindFastJoin,
 		Joiners:       4,
 		Sources:       []TupleSource{hotSource(12000, 7, 3)},
-		Theta:         1.2,
-		Cooldown:      25 * time.Millisecond,
-		SustainTicks:  1,
+		Migration:     MigrationOptions{Theta: 1.2, Cooldown: 25 * time.Millisecond, SustainTicks: 1},
 		StatsInterval: 15 * time.Millisecond,
 		Predicate:     func(r, s Tuple) bool { return (r.Seq+s.Seq)%128 == 0 },
 	})

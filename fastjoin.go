@@ -66,7 +66,7 @@ const (
 	S = stream.S
 )
 
-// DefaultBatchSize is the dispatcher batch capacity used when
+// DefaultBatchSize is the shuffler and dispatcher lane capacity used when
 // Options.Batching.Size is left 0 (see BatchOptions.Size).
 const DefaultBatchSize = biclique.DefaultBatchSize
 

@@ -72,8 +72,7 @@ func runKind(t *testing.T, kind Kind) Stats {
 		Joiners:       3,
 		Sources:       []TupleSource{finiteSource(2000, 40)},
 		StatsInterval: 20 * time.Millisecond,
-		Theta:         1.5,
-		Cooldown:      30 * time.Millisecond,
+		Migration:     MigrationOptions{Theta: 1.5, Cooldown: 30 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatalf("New(%v): %v", kind, err)
@@ -214,8 +213,7 @@ func TestFastJoinMigratesUnderSkew(t *testing.T) {
 		Joiners:       4,
 		Sources:       []TupleSource{src},
 		StatsInterval: 15 * time.Millisecond,
-		Theta:         1.2,
-		Cooldown:      25 * time.Millisecond,
+		Migration:     MigrationOptions{Theta: 1.2, Cooldown: 25 * time.Millisecond},
 		Predicate:     func(r, s Tuple) bool { return (r.Seq+s.Seq)%64 == 0 },
 	})
 	if err != nil {
@@ -286,8 +284,7 @@ func TestWindowedOption(t *testing.T) {
 	sys, err := New(Options{
 		Kind:          KindBiStream,
 		Joiners:       2,
-		Window:        50 * time.Millisecond,
-		SubWindows:    4,
+		Windowing:     WindowOptions{Span: 50 * time.Millisecond, SubWindows: 4},
 		StatsInterval: 10 * time.Millisecond,
 		Sources:       []TupleSource{finiteSource(500, 5)},
 	})
@@ -419,7 +416,7 @@ func TestSideReExports(t *testing.T) {
 }
 
 func TestChaosProfileOption(t *testing.T) {
-	if _, err := New(Options{ChaosProfile: "bogus", Sources: []TupleSource{finiteSource(1, 1)}}); err == nil {
+	if _, err := New(Options{Chaos: ChaosOptions{Profile: ChaosProfile(9)}, Sources: []TupleSource{finiteSource(1, 1)}}); err == nil {
 		t.Fatal("unknown chaos profile did not error")
 	}
 
@@ -434,11 +431,12 @@ func TestChaosProfileOption(t *testing.T) {
 		Joiners:       3,
 		Sources:       []TupleSource{finiteSource(20000, 40)},
 		StatsInterval: 10 * time.Millisecond,
-		Theta:         1.2,
-		Cooldown:      30 * time.Millisecond,
-		AbortTimeout:  150 * time.Millisecond,
-		ChaosProfile:  "mixed",
-		ChaosSeed:     7,
+		Migration: MigrationOptions{
+			Theta:        1.2,
+			Cooldown:     30 * time.Millisecond,
+			AbortTimeout: 150 * time.Millisecond,
+		},
+		Chaos: ChaosOptions{Profile: ChaosMixed, Seed: 7},
 	})
 	if err != nil {
 		t.Fatal(err)

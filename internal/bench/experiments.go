@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"fastjoin"
@@ -47,9 +46,6 @@ func All() []*Experiment {
 		expFig9_10(),
 		expFig12_13(),
 		expFig14(),
-		expBatch(),
-		expStore(),
-		expSplit(),
 		Ablation(),
 	}
 }
@@ -440,460 +436,6 @@ func expFig14() *Experiment {
 				rep.AddRow(kind.String(), res.LatencyMeanUs, res.LatencyP99Us, res.Throughput, float64(res.Migrations))
 			}
 			rep.AddNote("paper finding: the two selectors perform nearly the same")
-			return []*Report{rep}, nil
-		},
-	}
-}
-
-// ---------------------------------------------------------------- batch
-
-// zipfG10ThetaR is the skew of the shared A/B workload: zipf θ=1 on R (hot
-// routing lanes, hot stores), uniform S.
-const zipfG10ThetaR = 1.0
-
-// pregenZipfG10 materializes the deterministic skew-group-G10 workload the
-// data-plane A/B experiments (batch, store) share, returning a factory that
-// replays the identical tuple slices at memory speed for every run. With a
-// full-history store the join cardinality is Σ_k |R_k|·|S_k| — a function of
-// the tuple multiset only, so every run produces the IDENTICAL result count
-// no matter how arrival interleaves, and throughput ratios compare equal
-// work. (A time window would make match volume depend on source
-// interleaving and drown the A/B in run-to-run noise; uniform S keeps the
-// hot key's scan cost linear instead of quadratic. Live zipf sampling is
-// slower than the paths under test and would bound ingestion.)
-func pregenZipfG10(p Params) func() []fastjoin.TupleSource {
-	gen := fastjoin.NewZipfWorkload(fastjoin.ZipfOptions{
-		Keys:     p.Keys,
-		ThetaR:   zipfG10ThetaR,
-		ThetaS:   0,
-		Tuples:   p.TupleBudget,
-		Parallel: 3,
-		Seed:     p.Seed,
-	})
-	pre := make([][]fastjoin.Tuple, len(gen.Sources))
-	for i, src := range gen.Sources {
-		for {
-			t, ok := src()
-			if !ok {
-				break
-			}
-			pre[i] = append(pre[i], t)
-		}
-	}
-	return func() []fastjoin.TupleSource {
-		out := make([]fastjoin.TupleSource, len(pre))
-		for i := range pre {
-			ts := pre[i]
-			idx := 0
-			out[i] = func() (fastjoin.Tuple, bool) {
-				if idx >= len(ts) {
-					return fastjoin.Tuple{}, false
-				}
-				t := ts[idx]
-				idx++
-				return t, true
-			}
-		}
-		return out
-	}
-}
-
-// expBatch is the batched-data-plane A/B (archived as BENCH_3.json): the
-// identical skewed zipf workload at fixed seed runs with batching off
-// (BatchSize 1, the legacy one-message-per-tuple path) and on (the
-// default batch size), and the report compares sustained throughput.
-//
-// Methodology notes:
-//   - ServiceRate is forced to 0. The emulated per-node capacity works by
-//     sleeping, which caps every configuration at the same virtual rate
-//     and would mask exactly the per-message overhead this experiment
-//     measures. The A/B must be CPU/channel bound.
-//   - A short join window bounds per-probe scan work so the data plane
-//     (boxing + channel send per emit) stays the dominant term, as it is
-//     at cluster scale where windows are always bounded.
-func expBatch() *Experiment {
-	return &Experiment{
-		ID:      "batch",
-		Aliases: []string{"bench3"},
-		Title:   "Batched data plane A/B: throughput with batching off vs on (BENCH_3)",
-		Run: func(p Params) ([]*Report, error) {
-			p = p.withDefaults()
-			// Skew group G10: zipf θ=1 on R (hot routing lanes, hot
-			// stores), uniform S. With a full-history store the join
-			// cardinality is Σ_k |R_k|·|S_k| — a function of the tuple
-			// multiset only, so every run produces the IDENTICAL result
-			// count no matter how arrival interleaves, and the throughput
-			// ratio compares equal work. (A time window would make match
-			// volume depend on source interleaving and drown the A/B in
-			// run-to-run noise; uniform S keeps the hot key's scan cost
-			// linear instead of quadratic.)
-			mkSources := pregenZipfG10(p)
-			// Best-of-reps: the runs are sub-second, so scheduler noise
-			// swings a single measurement by ±20%; the fastest of a few
-			// repetitions is the standard throughput estimate.
-			reps := 3
-			if p.Quick {
-				reps = 1
-			}
-			run := func(kind fastjoin.Kind, batchSize int) (BatchResult, error) {
-				var best BatchResult
-				for r := 0; r < reps; r++ {
-					opts := sysOptions(kind, p, p.Joiners, mkSources())
-					opts.ServiceRate = 0 // full-history, CPU/channel bound
-					opts.Batching.Size = batchSize
-					res, err := runBatch(kind, opts)
-					if err != nil {
-						return BatchResult{}, err
-					}
-					if r == 0 || res.Elapsed < best.Elapsed {
-						best = res
-					}
-					if res.Results != best.Results {
-						return BatchResult{}, fmt.Errorf("batch %s rep %d: result count %d != %d; workload not deterministic",
-							kind, r, res.Results, best.Results)
-					}
-				}
-				return best, nil
-			}
-			rep := &Report{
-				ID:     "batch",
-				Title:  fmt.Sprintf("Batching off (BatchSize=1) vs on (BatchSize=%d): zipf G10 (θR=%.1f, uniform S), %d joiners/side, seed %d", fastjoin.DefaultBatchSize, zipfG10ThetaR, p.Joiners, p.Seed),
-				XLabel: "system",
-				Columns: []string{
-					"unbatched(results/s)", "batched(results/s)", "speedup",
-					"unbatched_lat_us", "batched_lat_us",
-				},
-			}
-			for _, kind := range []fastjoin.Kind{fastjoin.KindBiStream, fastjoin.KindFastJoin} {
-				off, err := run(kind, 1)
-				if err != nil {
-					return nil, fmt.Errorf("batch %s off: %w", kind, err)
-				}
-				on, err := run(kind, 0) // 0 = default batch size
-				if err != nil {
-					return nil, fmt.Errorf("batch %s on: %w", kind, err)
-				}
-				speedup := 0.0
-				if off.Throughput > 0 {
-					speedup = on.Throughput / off.Throughput
-				}
-				rep.AddRow(kind.String(),
-					off.Throughput, on.Throughput, speedup,
-					off.LatencyMeanUs, on.LatencyMeanUs)
-				rep.AddNote("%s: %d results, unbatched %s vs batched %s elapsed (speedup %.2fx)",
-					kind, on.Results, off.Elapsed.Round(time.Millisecond),
-					on.Elapsed.Round(time.Millisecond), speedup)
-				if off.Results != on.Results {
-					return nil, fmt.Errorf("batch %s: result counts diverge (off %d, on %d); exactly-once broken or workload not deterministic",
-						kind, off.Results, on.Results)
-				}
-			}
-			rep.AddNote("ServiceRate forced to 0 (capacity emulation sleeps would mask the per-message overhead under test)")
-			return []*Report{rep}, nil
-		},
-	}
-}
-
-// ---------------------------------------------------------------- store
-
-// expStore is the window-store A/B (archived as BENCH_4.json): the same
-// deterministic zipf G10 workload as the batch experiment runs against the
-// map-based reference store and the chunked arena store, both on the default
-// batched data plane. The methodology mirrors expBatch (ServiceRate 0,
-// full-history, pre-generated sources, best-of-reps); the equal-result-count
-// check doubles as a system-level differential test of the chunked store,
-// and the report carries the GC accounting the arena exists to improve.
-func expStore() *Experiment {
-	return &Experiment{
-		ID:      "store",
-		Aliases: []string{"bench4"},
-		Title:   "Window-store A/B: map reference vs chunked arena store (BENCH_4)",
-		Run: func(p Params) ([]*Report, error) {
-			p = p.withDefaults()
-			mkSources := pregenZipfG10(p)
-			reps := 3
-			if p.Quick {
-				reps = 1
-			}
-			run := func(kind fastjoin.Kind, store fastjoin.StoreKind) (BatchResult, error) {
-				var best BatchResult
-				for r := 0; r < reps; r++ {
-					opts := sysOptions(kind, p, p.Joiners, mkSources())
-					opts.ServiceRate = 0 // full-history, CPU/channel bound
-					opts.StoreKind = store
-					res, err := runBatch(kind, opts)
-					if err != nil {
-						return BatchResult{}, err
-					}
-					if r == 0 || res.Elapsed < best.Elapsed {
-						best = res
-					}
-					if res.Results != best.Results {
-						return BatchResult{}, fmt.Errorf("store %s rep %d: result count %d != %d; workload not deterministic",
-							kind, r, res.Results, best.Results)
-					}
-				}
-				return best, nil
-			}
-			rep := &Report{
-				ID:     "store",
-				Title:  fmt.Sprintf("Store map vs chunked: zipf G10 (θR=%.1f, uniform S), %d joiners/side, seed %d, BatchSize=%d", zipfG10ThetaR, p.Joiners, p.Seed, fastjoin.DefaultBatchSize),
-				XLabel: "system",
-				Columns: []string{
-					"map(results/s)", "chunked(results/s)", "speedup",
-					"map_lat_us", "chunked_lat_us",
-					"map_alloc_mb", "chunked_alloc_mb",
-				},
-			}
-			for _, kind := range []fastjoin.Kind{fastjoin.KindBiStream, fastjoin.KindFastJoin} {
-				ref, err := run(kind, fastjoin.StoreMap)
-				if err != nil {
-					return nil, fmt.Errorf("store %s map: %w", kind, err)
-				}
-				chk, err := run(kind, fastjoin.StoreChunked)
-				if err != nil {
-					return nil, fmt.Errorf("store %s chunked: %w", kind, err)
-				}
-				speedup := 0.0
-				if ref.Throughput > 0 {
-					speedup = chk.Throughput / ref.Throughput
-				}
-				rep.AddRow(kind.String(),
-					ref.Throughput, chk.Throughput, speedup,
-					ref.LatencyMeanUs, chk.LatencyMeanUs,
-					float64(ref.AllocBytes)/1e6, float64(chk.AllocBytes)/1e6)
-				rep.AddNote("%s: %d results, map %s vs chunked %s elapsed (speedup %.2fx); GC map %d cycles/%.0fµs pause, chunked %d cycles/%.0fµs pause",
-					kind, chk.Results, ref.Elapsed.Round(time.Millisecond),
-					chk.Elapsed.Round(time.Millisecond), speedup,
-					ref.GCCycles, ref.GCPauseUs, chk.GCCycles, chk.GCPauseUs)
-				if ref.Results != chk.Results {
-					return nil, fmt.Errorf("store %s: result counts diverge (map %d, chunked %d); the chunked store broke exact-match semantics",
-						kind, ref.Results, chk.Results)
-				}
-			}
-			rep.AddNote("equal result counts are the system-level differential check: both stores joined the identical multiset")
-			rep.AddNote("ServiceRate forced to 0 (capacity emulation sleeps would mask the store cost under test)")
-			return []*Report{rep}, nil
-		},
-	}
-}
-
-// ---------------------------------------------------------------- split
-
-// megaKeyShare is the single scorching key's share of both streams in the
-// split experiment: far more than one instance's fair share, so no
-// whole-key migration can balance it — the workload whole-key migration
-// provably cannot help with, and the one hot-key splitting exists for.
-const megaKeyShare = 0.4
-
-// splitPredMod thins the mega-key's quadratic result set so the runs are
-// dominated by probe/scan work (what splitting parallelizes), not result
-// materialization. The expected count stays exactly computable from the
-// per-key Seq residue histograms.
-const splitPredMod = 64
-
-// pregenMegaKey builds the deterministic mega-key workload (one key at
-// megaKeyShare of both streams, the rest uniform) pre-generated so every
-// run replays the identical multiset, and returns the source factory plus
-// the exact expected result count under the splitPredMod predicate.
-func pregenMegaKey(p Params, n int) (func() []fastjoin.TupleSource, int64) {
-	rng := rand.New(rand.NewSource(p.Seed))
-	tuples := make([]fastjoin.Tuple, 0, n)
-	// hist[key][side][residue] counts Seq%splitPredMod per key and side:
-	// pairs match iff (rSeq+sSeq)%splitPredMod == 0, so the exact join
-	// cardinality is Σ_k Σ_a histR[a]·histS[(mod-a)%mod].
-	hist := make(map[fastjoin.Key]*[2][splitPredMod]int64)
-	var rSeq, sSeq uint64
-	for i := 0; i < n; i++ {
-		key := fastjoin.Key(0)
-		if rng.Float64() >= megaKeyShare {
-			key = fastjoin.Key(1 + rng.Intn(p.Keys-1))
-		}
-		t := fastjoin.Tuple{Key: key}
-		if i%2 == 0 {
-			t.Side, t.Seq = fastjoin.R, rSeq
-			rSeq++
-		} else {
-			t.Side, t.Seq = fastjoin.S, sSeq
-			sSeq++
-		}
-		tuples = append(tuples, t)
-		h := hist[key]
-		if h == nil {
-			h = new([2][splitPredMod]int64)
-			hist[key] = h
-		}
-		h[t.Side][t.Seq%splitPredMod]++
-	}
-	var expected int64
-	for _, h := range hist {
-		for a := 0; a < splitPredMod; a++ {
-			expected += h[fastjoin.R][a] * h[fastjoin.S][(splitPredMod-a)%splitPredMod]
-		}
-	}
-	// Round-robin across 3 parallel sources, like the zipf pregen.
-	const parallel = 3
-	pre := make([][]fastjoin.Tuple, parallel)
-	for i, t := range tuples {
-		pre[i%parallel] = append(pre[i%parallel], t)
-	}
-	return func() []fastjoin.TupleSource {
-		out := make([]fastjoin.TupleSource, len(pre))
-		for i := range pre {
-			ts := pre[i]
-			idx := 0
-			out[i] = func() (fastjoin.Tuple, bool) {
-				if idx >= len(ts) {
-					return fastjoin.Tuple{}, false
-				}
-				t := ts[idx]
-				idx++
-				return t, true
-			}
-		}
-		return out
-	}, expected
-}
-
-// splitArrivalFactor sets the split experiment's offered arrival rate as
-// a fraction of the per-instance ServiceRate. Pacing the sources is what
-// makes the A/B honest: with an unbounded finite replay the dispatcher
-// routes the entire stream in milliseconds — long before the detector's
-// intent/ack handshake lands — so every tuple is already enqueued at the
-// old owner and activation redirects nothing. A paced stream keeps the
-// dispatcher in (emulated) real time, so tuples arriving after
-// activation actually take the salted route, exactly as they would in a
-// long-running deployment. 0.5 keeps the hot instance unsaturated until
-// the split activates (so the handshake isn't stuck behind a backlog)
-// while the no-split run still drowns in the mega-key's quadratic scan.
-const splitArrivalFactor = 0.5
-
-// pacedSources throttles a source set to an aggregate arrival rate of
-// perSecTotal tuples/second, split evenly across the sources. Each
-// source's clock starts on its first pull so system startup time is not
-// counted as banked arrival credit.
-func pacedSources(srcs []fastjoin.TupleSource, perSecTotal float64) []fastjoin.TupleSource {
-	per := perSecTotal / float64(len(srcs))
-	out := make([]fastjoin.TupleSource, len(srcs))
-	for i, src := range srcs {
-		src := src
-		var start time.Time
-		emitted := 0
-		out[i] = func() (fastjoin.Tuple, bool) {
-			t, ok := src()
-			if !ok {
-				return t, ok
-			}
-			if emitted == 0 {
-				start = time.Now()
-			}
-			emitted++
-			due := time.Duration(float64(emitted) / per * float64(time.Second))
-			if ahead := due - time.Since(start); ahead > 2*time.Millisecond {
-				time.Sleep(ahead)
-			}
-			return t, ok
-		}
-	}
-	return out
-}
-
-// expSplit is the hot-key splitting A/B (archived as BENCH_5.json): the
-// identical single-mega-key workload runs on FastJoin with splitting off
-// and on. Without splitting the mega-key's entire probe/scan load
-// serializes on one join instance per side; with splitting the stores
-// salt across SplitWays instances and probes fan out to them, dividing
-// the per-instance scan volume by SplitWays. Unlike expBatch/expStore
-// this experiment keeps the ServiceRate capacity emulation ON and paces
-// the offered load (see splitArrivalFactor): the win under test is
-// parallelism across instances, which the emulated per-instance op
-// budget exposes faithfully on any host (the emulation sleeps
-// concurrently), whereas raw CPU-bound wall clock would only show it on
-// a machine with enough free cores. Both sides of the A/B must produce
-// the exactly computed expected result count — the bench doubles as a
-// correctness check of salted routing.
-func expSplit() *Experiment {
-	return &Experiment{
-		ID:      "split",
-		Aliases: []string{"bench5", "megakey"},
-		Title:   "Hot-key splitting A/B: one mega-key with splitting off vs on (BENCH_5)",
-		Run: func(p Params) ([]*Report, error) {
-			p = p.withDefaults()
-			// The mega-key's virtual scan load is quadratic in the budget;
-			// cap it so the serial (no-split) side finishes in seconds.
-			n := min(p.TupleBudget, 20_000)
-			if p.Quick {
-				n = min(n, 8_000)
-			}
-			mkSources, expected := pregenMegaKey(p, n)
-			ways := min(4, p.Joiners)
-			pred := func(r, s fastjoin.Tuple) bool { return (r.Seq+s.Seq)%splitPredMod == 0 }
-			reps := 3
-			if p.Quick {
-				reps = 1
-			}
-			run := func(threshold float64) (BatchResult, int64, error) {
-				var best BatchResult
-				var splits int64
-				for r := 0; r < reps; r++ {
-					srcs := pacedSources(mkSources(), splitArrivalFactor*p.ServiceRate)
-					opts := sysOptions(fastjoin.KindFastJoin, p, p.Joiners, srcs)
-					opts.Predicate = pred
-					opts.Migration.SplitThreshold = threshold
-					opts.Migration.SplitWays = ways
-					res, err := runBatch(fastjoin.KindFastJoin, opts)
-					if err != nil {
-						return BatchResult{}, 0, err
-					}
-					if res.Results != expected {
-						return BatchResult{}, 0, fmt.Errorf("split threshold=%v rep %d: %d results, expected exactly %d; salted routing broke the join",
-							threshold, r, res.Results, expected)
-					}
-					if r == 0 || res.Elapsed < best.Elapsed {
-						best = res
-						splits = res.KeysSplit
-					}
-				}
-				return best, splits, nil
-			}
-			off, _, err := run(0)
-			if err != nil {
-				return nil, fmt.Errorf("split off: %w", err)
-			}
-			// Threshold 0.3: the mega-key holds ~55% of its dispatcher
-			// task's traffic (its 40% plus a quarter of the uniform rest),
-			// every other key a fraction of a percent — only the mega-key
-			// can split.
-			on, splits, err := run(0.3)
-			if err != nil {
-				return nil, fmt.Errorf("split on: %w", err)
-			}
-			if splits == 0 {
-				return nil, fmt.Errorf("split on: the mega-key never split (KeysSplit=0); the A/B compared identical systems")
-			}
-			speedup := 0.0
-			if off.Throughput > 0 {
-				speedup = on.Throughput / off.Throughput
-			}
-			rep := &Report{
-				ID:     "split",
-				Title:  fmt.Sprintf("Hot-key splitting off vs on: one key at %.0f%% of both streams, %d joiners/side, %d-way split, seed %d", megaKeyShare*100, p.Joiners, ways, p.Seed),
-				XLabel: "system",
-				Columns: []string{
-					"nosplit(results/s)", "split(results/s)", "speedup",
-					"nosplit_lat_us", "split_lat_us",
-				},
-			}
-			rep.AddRow(fastjoin.KindFastJoin.String(),
-				off.Throughput, on.Throughput, speedup,
-				off.LatencyMeanUs, on.LatencyMeanUs)
-			rep.AddNote("%d tuples, %d results (both runs match the residue-histogram expectation exactly); nosplit %s vs split %s elapsed (speedup %.2fx, %d split activations)",
-				n, expected, off.Elapsed.Round(time.Millisecond),
-				on.Elapsed.Round(time.Millisecond), speedup, splits)
-			rep.AddNote("nosplit run migrated %d times — whole-key migration cannot shed a single mega-key, which is the gap splitting closes",
-				off.Migrations)
-			rep.AddNote("ServiceRate %.0f virtual ops/s per instance: the emulated capacity exposes the %d-way scan parallelism on any host",
-				p.ServiceRate, ways)
 			return []*Report{rep}, nil
 		},
 	}

@@ -29,17 +29,6 @@ type Params struct {
 	ServiceRate float64
 	// Seed derandomizes workloads and placement.
 	Seed int64
-	// BatchSize overrides the dispatcher's data-plane batch capacity for
-	// every run (0 = system default, 1 = unbatched legacy path). The
-	// batch A/B experiment ignores it and sweeps both settings.
-	BatchSize int
-	// BatchLinger overrides how long a partially filled batch may wait
-	// before a tick flushes it (0 = system default).
-	BatchLinger time.Duration
-	// Store overrides the joiners' window-store implementation for every
-	// run (default fastjoin.StoreChunked). The store A/B experiment
-	// ignores it and sweeps both.
-	Store fastjoin.StoreKind
 	// Quick shrinks sweeps and durations for smoke tests.
 	Quick bool
 	// ChaosProfile, when not ChaosNone, runs every system under the named
@@ -92,9 +81,6 @@ func (p Params) withDefaults() Params {
 	if p.Seed == 0 {
 		p.Seed = d.Seed
 	}
-	if p.BatchSize < 0 {
-		p.BatchSize = 1 // any negative spelling means "unbatched"
-	}
 	if p.Quick {
 		p.Duration = min(p.Duration, 1200*time.Millisecond)
 		p.SampleEvery = min(p.SampleEvery, 200*time.Millisecond)
@@ -130,15 +116,10 @@ func sysOptions(kind fastjoin.Kind, p Params, joiners int, sources []fastjoin.Tu
 		StatsInterval: 50 * time.Millisecond,
 		ServiceRate:   p.ServiceRate,
 		Seed:          uint64(p.Seed),
-		StoreKind:     p.Store,
 		Migration: fastjoin.MigrationOptions{
 			Theta:        p.Theta,
 			Cooldown:     500 * time.Millisecond,
 			AbortTimeout: abortTimeoutFor(p),
-		},
-		Batching: fastjoin.BatchOptions{
-			Size:   p.BatchSize,
-			Linger: p.BatchLinger,
 		},
 		Chaos: fastjoin.ChaosOptions{
 			Profile: p.ChaosProfile,
@@ -163,13 +144,6 @@ func abortTimeoutFor(p Params) time.Duration {
 	return 2 * time.Second
 }
 
-func max[T ~int64 | ~int](a, b T) T {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // BatchResult is the outcome of one finite run.
 type BatchResult struct {
 	Kind          fastjoin.Kind
@@ -179,14 +153,7 @@ type BatchResult struct {
 	LatencyMeanUs float64
 	LatencyP99Us  float64
 	Migrations    int64
-	KeysSplit     int64
 	FinalLI       float64
-	// GC accounting of the run (fastjoin.Stats runtime gauges): cumulative
-	// bytes allocated and total GC pause. The store experiment's A/B reads
-	// the arena win off these.
-	AllocBytes uint64
-	GCPauseUs  float64
-	GCCycles   uint32
 }
 
 // runBatch pushes a finite workload through one system and measures it.
@@ -211,11 +178,7 @@ func runBatch(kind fastjoin.Kind, opts fastjoin.Options) (BatchResult, error) {
 		LatencyMeanUs: st.LatencyMeanUs,
 		LatencyP99Us:  st.LatencyP99Us,
 		Migrations:    st.Migrations,
-		KeysSplit:     st.KeysSplit,
 		FinalLI:       lastLI(sys),
-		AllocBytes:    st.AllocBytes,
-		GCPauseUs:     st.GCPauseTotalUs,
-		GCCycles:      st.GCCycles,
 	}
 	return res, nil
 }

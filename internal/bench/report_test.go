@@ -100,16 +100,14 @@ func TestParamsExplicitPreserved(t *testing.T) {
 
 func TestExperimentRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 12 {
-		t.Fatalf("experiments = %d, want 12", len(all))
+	if len(all) != 9 {
+		t.Fatalf("experiments = %d, want 9", len(all))
 	}
-	// Every paper figure id (plus the batching, store, and splitting
-	// A/Bs) must be covered.
+	// Every paper figure id (plus the ablation) must be covered.
 	for _, id := range []string{
 		"fig1a", "fig1b", "fig1ab", "fig1c", "fig1d", "fig1cd",
 		"fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
 		"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "ablation",
-		"batch", "bench3", "store", "bench4", "split", "bench5", "megakey",
 	} {
 		if Find(id) == nil {
 			t.Errorf("figure %s not covered by any experiment", id)

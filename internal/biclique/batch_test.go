@@ -1,17 +1,73 @@
 package biclique
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"fastjoin/internal/core"
+	"fastjoin/internal/engine"
 	"fastjoin/internal/stream"
 )
 
-// TestBatchingExactlyOnceMatchesUnbatched runs the identical workload
-// through the legacy per-tuple path (BatchSize=1) and the batched data
-// plane, and requires both to produce exactly the reference pair set.
-// An odd batch size that never divides the lane traffic evenly is
+// laneShapes watches every enqueue (as the engine's fault hook, never
+// faulting) and records any shuffler→dispatcher or dispatcher→joiner
+// message that is not a batch of 1..size tuples.
+type laneShapes struct {
+	size int
+
+	mu      sync.Mutex
+	batches [2]int   // guarded by mu; ShuffleBatch and TupleBatch messages seen
+	bad     []string // guarded by mu; the first few offenders
+}
+
+func (l *laneShapes) inject(target engine.Context, streamName string, _ bool, v any) engine.FaultDecision {
+	n, hop := -1, 0
+	switch {
+	case target.Component == CompDispatcher && streamName == streamTuples:
+		if b, ok := v.(ShuffleBatch); ok {
+			n = len(b.Tuples)
+		}
+	case streamName == streamToR || streamName == streamToS:
+		hop = 1
+		if b, ok := v.(TupleBatch); ok {
+			n = len(b.Msgs)
+		}
+	default:
+		return engine.FaultDecision{}
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n >= 1 && n <= l.size {
+		l.batches[hop]++
+	} else if len(l.bad) < 5 {
+		what := fmt.Sprintf("%T", v)
+		if n >= 0 {
+			what = fmt.Sprintf("%s of %d tuples", what, n)
+		}
+		l.bad = append(l.bad, fmt.Sprintf("%s on %s to %v", what, streamName, target))
+	}
+	return engine.FaultDecision{}
+}
+
+func (l *laneShapes) check(t *testing.T) {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, b := range l.bad {
+		t.Errorf("BatchSize %d: %s", l.size, b)
+	}
+	if l.batches[0] == 0 || l.batches[1] == 0 {
+		t.Errorf("BatchSize %d: saw %d shuffle and %d tuple batches; want both hops observed", l.size, l.batches[0], l.batches[1])
+	}
+}
+
+// TestBatchingExactlyOnceMatchesUnbatched runs the identical workload at
+// several batch sizes and requires each to produce exactly the reference
+// pair set, with every tuple on both data hops inside a batch of at most
+// that size. Size 1 ships one-tuple batches through the same code as any
+// other size; an odd size that never divides the lane traffic evenly is
 // included so partial-batch flushes (linger/idle) carry real weight.
 func TestBatchingExactlyOnceMatchesUnbatched(t *testing.T) {
 	tuples := makeWorkload(6000, 50, 0.3, 11)
@@ -20,8 +76,11 @@ func TestBatchingExactlyOnceMatchesUnbatched(t *testing.T) {
 		cfg := baseConfig()
 		cfg.Strategy = StrategyHash
 		cfg.BatchSize = size
+		shapes := &laneShapes{size: size}
+		cfg.Engine.Inject = shapes.inject
 		_, got := runFinite(t, cfg, tuples)
 		assertExactlyOnce(t, want, got)
+		shapes.check(t)
 	}
 }
 
@@ -30,31 +89,35 @@ func TestBatchingExactlyOnceMatchesUnbatched(t *testing.T) {
 // carry open batches, and exactly-once only holds if the dispatcher
 // flushes every open batch BEFORE emitting a marker — otherwise tuples
 // buffered in a lane would arrive after the marker they must precede.
+// Size 1 is the degenerate lane that never holds an open batch.
 func TestBatchingExactlyOnceUnderMigration(t *testing.T) {
 	tuples := makeWorkload(8000, 40, 0.5, 6)
 	pred := func(r, s stream.Tuple) bool { return (r.Seq+s.Seq)%8 == 0 }
-	cfg := baseConfig()
-	cfg.Strategy = StrategyHash
-	cfg.Predicate = pred
-	cfg.BatchSize = DefaultBatchSize
-	cfg.BatchLinger = time.Millisecond
-	cfg.Migration = MigrationConfig{
-		Enabled: true,
-		Policy: core.MonitorPolicy{
-			Theta:     1.2,
-			Cooldown:  25 * time.Millisecond,
-			MinStored: 16,
-		},
-	}
-	sys, got := runFinitePaced(t, cfg, tuples)
-	assertExactlyOnce(t, referenceJoin(tuples, pred), got)
-	if sys.Metrics().Migrations.Value() == 0 {
-		t.Error("expected at least one migration; batched fencing untested otherwise")
+	want := referenceJoin(tuples, pred)
+	for _, size := range []int{1, DefaultBatchSize} {
+		cfg := baseConfig()
+		cfg.Strategy = StrategyHash
+		cfg.Predicate = pred
+		cfg.BatchSize = size
+		cfg.BatchLinger = time.Millisecond
+		cfg.Migration = MigrationConfig{
+			Enabled: true,
+			Policy: core.MonitorPolicy{
+				Theta:     1.2,
+				Cooldown:  25 * time.Millisecond,
+				MinStored: 16,
+			},
+		}
+		sys, got := runFinitePaced(t, cfg, tuples)
+		assertExactlyOnce(t, want, got)
+		if sys.Metrics().Migrations.Value() == 0 {
+			t.Errorf("BatchSize %d: expected at least one migration; batched fencing untested otherwise", size)
+		}
 	}
 }
 
 // TestBatchConfigValidation pins the BatchSize knob semantics: zero means
-// "default batching", one means the legacy unbatched path, negatives are
+// the default size, any positive size is kept as given, negatives are
 // rejected.
 func TestBatchConfigValidation(t *testing.T) {
 	base := func() Config {
@@ -79,7 +142,7 @@ func TestBatchConfigValidation(t *testing.T) {
 		t.Fatalf("Validate(BatchSize=1): %v", err)
 	}
 	if cfg.BatchSize != 1 {
-		t.Errorf("BatchSize=1 rewritten to %d; must stay the unbatched path", cfg.BatchSize)
+		t.Errorf("BatchSize=1 rewritten to %d; an explicit size must be kept", cfg.BatchSize)
 	}
 
 	cfg = base()

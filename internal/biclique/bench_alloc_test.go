@@ -14,7 +14,7 @@ import (
 // runBenchPipeline pushes one finite workload through a full system and
 // returns the number of joined pairs observed. Used by the allocation
 // benchmarks: one b.N iteration = one complete dispatcher→joiner run, so
-// allocs/op compares the whole data plane between batch sizes.
+// allocs/op prices the whole data plane.
 func runBenchPipeline(b *testing.B, cfg Config, tuples []stream.Tuple) int64 {
 	b.Helper()
 	var pairs atomic.Int64
@@ -33,20 +33,19 @@ func runBenchPipeline(b *testing.B, cfg Config, tuples []stream.Tuple) int64 {
 	return pairs.Load()
 }
 
-func benchmarkDataPlane(b *testing.B, batchSize int, store StoreImpl) {
+func benchmarkDataPlane(b *testing.B, store StoreImpl) {
 	// Sparse key space: few pairs actually match, so per-pair result
-	// allocations do not drown out the per-tuple transport cost the
-	// benchmark is comparing (boxing + channel send per emit vs per batch).
-	benchmarkPipeline(b, batchSize, store, makeWorkload(20000, 15000, 0, 42))
+	// allocations do not drown out the transport cost the benchmark
+	// measures (boxing + channel send per batch).
+	benchmarkPipeline(b, store, makeWorkload(20000, 15000, 0, 42))
 }
 
-func benchmarkPipeline(b *testing.B, batchSize int, store StoreImpl, tuples []stream.Tuple) {
+func benchmarkPipeline(b *testing.B, store StoreImpl, tuples []stream.Tuple) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg := baseConfig()
 		cfg.Strategy = StrategyHash
-		cfg.BatchSize = batchSize
 		cfg.StoreImpl = store
 		// Long stats interval: keep the periodic reporter out of the
 		// allocation profile so the comparison isolates the data plane.
@@ -64,16 +63,11 @@ func benchmarkPipeline(b *testing.B, batchSize int, store StoreImpl, tuples []st
 	}
 }
 
-// BenchmarkDataPlaneUnbatched measures the legacy per-tuple path: every
-// dispatcher emit boxes one TupleMsg into an interface and performs one
-// channel send.
-func BenchmarkDataPlaneUnbatched(b *testing.B) { benchmarkDataPlane(b, 1, StoreChunked) }
-
-// BenchmarkDataPlaneBatch32 measures the batched data plane at the
-// default batch size; allocs/op must come in well below the unbatched
-// run since boxing and channel sends are amortized ~32×. This is the
-// benchmark scripts/alloc_gate.sh holds against ci/alloc_ceiling.txt.
-func BenchmarkDataPlaneBatch32(b *testing.B) { benchmarkDataPlane(b, DefaultBatchSize, StoreChunked) }
+// BenchmarkDataPlaneBatch32 measures the data plane at the default batch
+// size, where boxing and channel sends are amortized over up to 32 tuples.
+// This is the benchmark scripts/alloc_gate.sh holds against
+// ci/alloc_ceiling.txt.
+func BenchmarkDataPlaneBatch32(b *testing.B) { benchmarkDataPlane(b, StoreChunked) }
 
 // BenchmarkDataPlaneBatch32Emit is BenchmarkDataPlaneBatch32 with a dense
 // key space (40 keys, half the tuples on two of them: ~14 M pairs from the
@@ -82,7 +76,7 @@ func BenchmarkDataPlaneBatch32(b *testing.B) { benchmarkDataPlane(b, DefaultBatc
 // per pair, so allocs/op must stay in the sparse run's range;
 // scripts/alloc_gate.sh holds it to its own ceiling.
 func BenchmarkDataPlaneBatch32Emit(b *testing.B) {
-	benchmarkPipeline(b, DefaultBatchSize, StoreChunked, makeWorkload(20000, 40, 0.5, 42))
+	benchmarkPipeline(b, StoreChunked, makeWorkload(20000, 40, 0.5, 42))
 }
 
 // BenchmarkDataPlaneBatch32MapStore is the same run with the map
@@ -90,7 +84,7 @@ func BenchmarkDataPlaneBatch32Emit(b *testing.B) {
 //
 //	go test ./internal/biclique -bench 'DataPlaneBatch32' -benchmem
 func BenchmarkDataPlaneBatch32MapStore(b *testing.B) {
-	benchmarkDataPlane(b, DefaultBatchSize, StoreMap)
+	benchmarkDataPlane(b, StoreMap)
 }
 
 // BenchmarkProbeEmit measures the result path alone: one joiner holding a

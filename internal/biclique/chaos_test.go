@@ -281,7 +281,6 @@ func TestChaosClassify(t *testing.T) {
 		value any
 		want  chaos.Class
 	}{
-		{TupleMsg{}, chaos.ClassData},
 		{TupleBatch{}, chaos.ClassData},
 		{ShuffleBatch{}, chaos.ClassData},
 		{&PairBatch{}, chaos.ClassData},

@@ -10,9 +10,10 @@ import (
 // ChaosClassify maps biclique message types onto chaos fault classes.
 // The classification encodes the protocol's fault-eligibility matrix:
 //
-//   - TupleMsg (and anything unrecognized, e.g. raw tuples between the
-//     spout/shuffler/dispatcher) is data-lane traffic whose per-key FIFO
+//   - ShuffleBatch and TupleBatch are data-lane traffic whose per-key FIFO
 //     the exactly-once argument relies on — profiles must keep it clean.
+//     Bare stream.Tuples on the spout→shuffler hop fall to the default,
+//     ClassOther, a class no shipped profile attacks.
 //   - MigrateBatch/Flush/Abort/Return ride FIFO control lanes and carry
 //     stored tuples; losing one loses tuples, so profiles keep them
 //     clean too (duplicates would be tolerated via epoch dedup).
@@ -22,10 +23,8 @@ import (
 //     suite verifies.
 func ChaosClassify(value any) chaos.Class {
 	switch v := value.(type) {
-	case TupleMsg, TupleBatch, ShuffleBatch:
-		// A batch is data-lane traffic exactly like the tuples it carries:
-		// dropping one would lose a whole lane segment, so profiles must
-		// keep it as clean as a single TupleMsg.
+	case TupleBatch, ShuffleBatch:
+		// Dropping a batch would lose a whole lane segment.
 		return chaos.ClassData
 	case *PairBatch:
 		// Result batches are pooled and recycled by the sink; besides being

@@ -141,10 +141,8 @@ type SplitConfig struct {
 	SketchCapacity int
 }
 
-// DefaultBatchSize is the dispatcher batch capacity used when
-// Config.BatchSize is zero. Batching is on by default so every test and
-// chaos run exercises the batched data plane; set BatchSize to 1 for the
-// legacy unbatched path.
+// DefaultBatchSize is the shuffler and dispatcher lane capacity used when
+// Config.BatchSize is zero.
 const DefaultBatchSize = 32
 
 // Config parameterizes a biclique join system.
@@ -172,17 +170,16 @@ type Config struct {
 	// StatsInterval is how often join instances report load and monitors
 	// evaluate (default 100ms).
 	StatsInterval time.Duration
-	// BatchSize is the dispatcher's per-(side, target) batch capacity: up
-	// to BatchSize routed tuples travel as one TupleBatch message (one
-	// channel send, one boxed value for the whole group). 0 means the
-	// default (DefaultBatchSize); 1 disables batching and restores the
-	// one-message-per-tuple data plane (the A/B baseline).
+	// BatchSize is the lane capacity of the shuffler (per dispatcher task)
+	// and the dispatcher (per side and target): up to BatchSize tuples
+	// travel as one ShuffleBatch or TupleBatch message (one channel send,
+	// one boxed value for the whole group). 0 means the default
+	// (DefaultBatchSize); 1 ships every tuple in a batch of its own.
 	BatchSize int
 	// BatchLinger bounds how long a partially filled batch may sit in the
-	// dispatcher under light load before a tick flushes it (default 2ms;
-	// only meaningful when BatchSize > 1). Idle dispatchers flush eagerly
-	// regardless — the linger only matters while the task stays busy with
-	// other lanes' traffic.
+	// dispatcher under light load before a tick flushes it (default 2ms).
+	// Idle dispatchers flush eagerly regardless — the linger only matters
+	// while the task stays busy with other lanes' traffic.
 	BatchLinger time.Duration
 	// StoreImpl selects the join instances' window-store implementation:
 	// StoreChunked (the default arena store) or StoreMap (the reference

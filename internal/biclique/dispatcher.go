@@ -11,10 +11,10 @@ import (
 // (§III-A): it stamps event time on tuples that lack one, applies the
 // user-defined pre-processing function if configured, and forwards the
 // tuples to the dispatcher task owning the tuple's key. The key→task
-// mapping lives here (not in an engine grouping) so that with batching
-// enabled the bolt can accumulate a per-dispatcher lane and ship it as
-// one ShuffleBatch; either way all traffic of one key flows through a
-// single dispatcher task in arrival order.
+// mapping lives here (not in an engine grouping) so that the bolt can
+// accumulate a per-dispatcher lane and ship it as one ShuffleBatch; all
+// traffic of one key flows through a single dispatcher task in arrival
+// order.
 type shufflerBolt struct {
 	pre   func(stream.Tuple) stream.Tuple
 	batch int
@@ -53,9 +53,7 @@ func newShufflerFactory(cfg *Config) engine.BoltFactory {
 }
 
 func (b *shufflerBolt) Prepare(engine.Context, *engine.Collector) {
-	if b.batch > 1 {
-		b.lanes = make([]shuffleLane, b.nDisp)
-	}
+	b.lanes = make([]shuffleLane, b.nDisp)
 }
 
 func (b *shufflerBolt) Execute(m engine.Message, out *engine.Collector) {
@@ -74,10 +72,6 @@ func (b *shufflerBolt) Execute(m engine.Message, out *engine.Collector) {
 		t.EventTime = stream.Now()
 	}
 	target := int(uint64(t.Key) % uint64(b.nDisp))
-	if b.batch <= 1 {
-		out.EmitDirect(streamTuples, target, t)
-		return
-	}
 	ln := &b.lanes[target]
 	if ln.tuples == nil {
 		ln.tuples = make([]stream.Tuple, 0, laneCap(ln.fill, b.batch))
@@ -115,14 +109,14 @@ func (b *shufflerBolt) Cleanup() {}
 // group per the strategy. It maintains the routing table that FastJoin's
 // migrations rewrite, acking every update back with a marker.
 //
-// With Config.BatchSize > 1 the bolt runs the batched data plane: routed
-// tuples accumulate per (side, target) lane and travel as one TupleBatch
-// message once the lane fills, a linger tick fires, or the engine's idle
-// flush runs (the task's data queue drained). Lane order is preserved —
-// a batch is one channel send carrying the lane's tuples in routing
-// order — and every open batch is flushed before a Marker is emitted, so
-// the migration fencing argument ("the marker rides behind every tuple
-// this task routed there before the update") survives batching intact.
+// Routed tuples accumulate per (side, target) lane and travel as one
+// TupleBatch message once the lane holds Config.BatchSize of them, a
+// linger tick fires, or the engine's idle flush runs (the task's data
+// queue drained); BatchSize 1 ships one-tuple batches. Lane order is
+// preserved — a batch is one channel send carrying the lane's tuples in
+// routing order — and every open batch is flushed before a Marker is
+// emitted, so the migration fencing argument ("the marker rides behind
+// every tuple this task routed there before the update") holds.
 type dispatcherBolt struct {
 	cfg    *Config
 	router routing.Router
@@ -140,8 +134,8 @@ type dispatcherBolt struct {
 	// re-applied (idempotent) and re-acked, which is what recovers
 	// dropped markers.
 	applied map[updateKey]uint64
-	// batch is the effective lane capacity (<= 1 means unbatched); lanes
-	// holds the open batch of each (side, joiner-task) pair.
+	// batch is the lane capacity; lanes holds the open batch of each
+	// (side, joiner-task) pair.
 	batch int
 	lanes [2][]batchLane
 }
@@ -180,17 +174,13 @@ func newDispatcherBolt(cfg *Config, met *SystemMetrics) engine.BoltFactory {
 func (b *dispatcherBolt) Prepare(ctx engine.Context, _ *engine.Collector) {
 	b.ctx = ctx
 	b.batch = b.cfg.BatchSize
-	if b.batch > 1 {
-		b.lanes[stream.R] = make([]batchLane, b.cfg.JoinersPerSide)
-		b.lanes[stream.S] = make([]batchLane, b.cfg.JoinersPerSide)
-	}
+	b.lanes[stream.R] = make([]batchLane, b.cfg.JoinersPerSide)
+	b.lanes[stream.S] = make([]batchLane, b.cfg.JoinersPerSide)
 }
 
 //lint:hotpath
 func (b *dispatcherBolt) Execute(m engine.Message, out *engine.Collector) {
 	switch v := m.Value.(type) {
-	case stream.Tuple:
-		b.routeTuple(v, out)
 	case ShuffleBatch:
 		for i := range v.Tuples {
 			b.routeTuple(v.Tuples[i], out)
@@ -288,15 +278,11 @@ func (b *dispatcherBolt) routeTuple(t stream.Tuple, out *engine.Collector) {
 	}
 }
 
-// emitTuple delivers one routed tuple to its lane: directly when batching
-// is off, otherwise into the lane's open batch, flushing at capacity.
+// emitTuple appends one routed tuple to its lane's open batch, flushing
+// at capacity.
 //
 //lint:hotpath
 func (b *dispatcherBolt) emitTuple(side stream.Side, target int, tm TupleMsg, out *engine.Collector) {
-	if b.batch <= 1 {
-		out.EmitDirect(tupleStream(side), target, tm)
-		return
-	}
 	ln := &b.lanes[side][target]
 	if ln.msgs == nil {
 		n := laneCap(ln.fill, b.batch)

@@ -225,8 +225,6 @@ func (b *joinerBolt) Execute(m engine.Message, out *engine.Collector) {
 	// batch must not vanish with the poisoned one.
 	defer b.flushPairs(out)
 	switch v := m.Value.(type) {
-	case TupleMsg:
-		b.handleTuple(v, out)
 	case TupleBatch:
 		b.handleBatch(v, out)
 	case Marker:

@@ -65,4 +65,10 @@ func TestLaneCapFollowsLastFill(t *testing.T) {
 	if got := laneCap(0, 48); got != minLaneCap {
 		t.Errorf("laneCap(0, 48) = %d, want %d", got, minLaneCap)
 	}
+	// Batch size 1 opens capacity-one lanes whatever the last fill was.
+	for _, fill := range []int{0, 1, 32} {
+		if got := laneCap(fill, 1); got != 1 {
+			t.Errorf("laneCap(%d, 1) = %d, want 1", fill, got)
+		}
+	}
 }

@@ -57,21 +57,21 @@ type TupleMsg struct {
 	Replayed bool
 }
 
-// TupleBatch carries several routed tuples of one (side, target) lane as a
-// single engine message: one channel send, one interface value, one
-// allocation for the whole group. The dispatcher accumulates per-lane
-// batches (Config.BatchSize / BatchLinger) and the joiner unpacks them
-// inline through the same handleTuple path, so batching changes message
-// granularity only — per-lane FIFO order, Seq numbering, and therefore the
-// migration fencing proof are untouched. Any open batch is flushed before
-// a Marker is emitted, so a marker still rides behind every earlier tuple
-// of its lane.
+// TupleBatch is the dispatcher→joiner data message: the routed tuples of
+// one (side, target) lane, in routing order, as a single engine message —
+// one channel send, one interface value, one allocation for the whole
+// group. The dispatcher accumulates per-lane batches (Config.BatchSize /
+// BatchLinger) and the joiner unpacks them tuple by tuple through
+// handleTuple, so the batch size sets message granularity only — per-lane
+// FIFO order, Seq numbering, and therefore the migration fencing proof do
+// not depend on it. Any open batch is flushed before a Marker is emitted,
+// so a marker rides behind every earlier tuple of its lane.
 type TupleBatch struct {
 	Msgs []TupleMsg
 }
 
-// ShuffleBatch carries several pre-processed tuples of one
-// shuffler→dispatcher lane as a single engine message (the upstream
+// ShuffleBatch is the shuffler→dispatcher data message: the pre-processed
+// tuples of one lane as a single engine message (the upstream
 // counterpart of TupleBatch). The shuffler owns the key→dispatcher
 // mapping, so all tuples of one key still flow through one dispatcher
 // task in arrival order — the per-key FIFO the exactly-once argument

@@ -26,7 +26,7 @@ func (s feedSpout) Next(out *engine.Collector) bool {
 }
 
 // startJoiner runs one real joinerBolt of the given side between a spout
-// emitting feed's TupleMsg / TupleBatch values and one task of results on
+// emitting feed's TupleBatch values and one task of results on
 // the joiner's result stream — the position of the sink.
 func startJoiner(tb testing.TB, cfg *Config, side stream.Side, met *SystemMetrics, feed func() (any, bool), results engine.BoltFactory) *engine.LocalCluster {
 	tb.Helper()
@@ -73,17 +73,17 @@ func (b captureBolt) Execute(m engine.Message, _ *engine.Collector) {
 	putPairBatch(pb)
 }
 
-// runJoiner drives a joiner of the given side with msgs and returns the
-// result batches it emitted, in order.
-func runJoiner(t *testing.T, cfg Config, side stream.Side, msgs ...any) []PairBatch {
+// runJoiner drives a joiner of the given side with batches and returns
+// the result batches it emitted, in order.
+func runJoiner(t *testing.T, cfg Config, side stream.Side, batches ...TupleBatch) []PairBatch {
 	t.Helper()
 	var got []PairBatch
 	feed := func() (any, bool) {
-		if len(msgs) == 0 {
+		if len(batches) == 0 {
 			return nil, false
 		}
-		m := msgs[0]
-		msgs = msgs[1:]
+		m := batches[0]
+		batches = batches[1:]
 		return m, true
 	}
 	cluster := startJoiner(t, &cfg, side, NewSystemMetrics(1), feed,
@@ -104,6 +104,9 @@ func storeMsgs(side stream.Side, key stream.Key, base, n int) []TupleMsg {
 	}
 	return out
 }
+
+// batchOf wraps msgs in the one data-lane message shape a joiner accepts.
+func batchOf(msgs ...TupleMsg) TupleBatch { return TupleBatch{Msgs: msgs} }
 
 func probeMsg(side stream.Side, key stream.Key, seq uint64) TupleMsg {
 	return TupleMsg{T: stream.Tuple{Side: side.Opposite(), Key: key, Seq: seq, Payload: "probe"}, Op: OpProbe, SentAt: stream.Now()}
@@ -144,8 +147,7 @@ func expandAll(batches []PairBatch) []stream.JoinedPair {
 // one header per batch, same probe and clock read, stored order intact.
 func TestRunSpillsAcrossBatches(t *testing.T) {
 	const n = 2*pairBatchCap + 188
-	msgs := []any{TupleBatch{Msgs: storeMsgs(stream.R, 7, 0, n)}, probeMsg(stream.R, 7, 42)}
-	got := runJoiner(t, Config{}, stream.R, msgs...)
+	got := runJoiner(t, Config{}, stream.R, batchOf(storeMsgs(stream.R, 7, 0, n)...), batchOf(probeMsg(stream.R, 7, 42)))
 	if len(got) != 3 {
 		t.Fatalf("%d batches, want 3", len(got))
 	}
@@ -178,8 +180,8 @@ func TestRunSpillsAcrossBatches(t *testing.T) {
 // matches leaves no header.
 func TestRunsShareOneBatch(t *testing.T) {
 	stores := append(storeMsgs(stream.R, 1, 0, 3), storeMsgs(stream.R, 2, 10, 70)...) // key 2 spans chunks
-	probes := TupleBatch{Msgs: []TupleMsg{probeMsg(stream.R, 1, 100), probeMsg(stream.R, 9, 101), probeMsg(stream.R, 2, 102), probeMsg(stream.R, 1, 103)}}
-	got := runJoiner(t, Config{}, stream.R, TupleBatch{Msgs: stores}, probes)
+	probes := batchOf(probeMsg(stream.R, 1, 100), probeMsg(stream.R, 9, 101), probeMsg(stream.R, 2, 102), probeMsg(stream.R, 1, 103))
+	got := runJoiner(t, Config{}, stream.R, batchOf(stores...), probes)
 	if len(got) != 1 {
 		t.Fatalf("%d batches, want 1", len(got))
 	}
@@ -204,7 +206,7 @@ func TestRunsShareOneBatch(t *testing.T) {
 // side, so the joiner's batch stamp is covered too.
 func TestRunOrientationBothSides(t *testing.T) {
 	for _, side := range []stream.Side{stream.R, stream.S} {
-		got := runJoiner(t, Config{}, side, TupleBatch{Msgs: storeMsgs(side, 5, 10, 2)}, probeMsg(side, 5, 20))
+		got := runJoiner(t, Config{}, side, batchOf(storeMsgs(side, 5, 10, 2)...), batchOf(probeMsg(side, 5, 20)))
 		if len(got) != 1 || got[0].StoreSide != side || got[0].Instance != 0 {
 			t.Fatalf("side %v: batches %+v", side, got)
 		}
@@ -239,13 +241,13 @@ func TestRunPredicateFilters(t *testing.T) {
 			}
 			return false
 		}}
-		stores := TupleBatch{Msgs: storeMsgs(side, 5, 0, 100)}
-		if got := runJoiner(t, cfg, side, stores, probeMsg(side, 5, 1)); len(got) != 0 {
+		stores := batchOf(storeMsgs(side, 5, 0, 100)...)
+		if got := runJoiner(t, cfg, side, stores, batchOf(probeMsg(side, 5, 1))); len(got) != 0 {
 			t.Errorf("side %v: all-rejecting predicate emitted %+v", side, got)
 		}
 
 		cfg.Predicate = func(r, s stream.Tuple) bool { return (r.Seq+s.Seq)%3 == 0 }
-		got := runJoiner(t, cfg, side, stores, probeMsg(side, 5, 0))
+		got := runJoiner(t, cfg, side, stores, batchOf(probeMsg(side, 5, 0)))
 		if len(got) != 1 {
 			t.Fatalf("side %v: %d batches, want 1", side, len(got))
 		}
@@ -272,8 +274,8 @@ func TestRunPredicatePanicIsolated(t *testing.T) {
 		}
 		return true
 	}}
-	stores := TupleBatch{Msgs: storeMsgs(stream.R, 1, 0, 5)}
-	probes := TupleBatch{Msgs: []TupleMsg{probeMsg(stream.R, 1, 100), probeMsg(stream.R, 1, 101), probeMsg(stream.R, 1, 102)}}
+	stores := batchOf(storeMsgs(stream.R, 1, 0, 5)...)
+	probes := batchOf(probeMsg(stream.R, 1, 100), probeMsg(stream.R, 1, 101), probeMsg(stream.R, 1, 102))
 	got := runJoiner(t, cfg, stream.R, stores, probes)
 	if len(got) != 1 {
 		t.Fatalf("%d batches, want 1", len(got))

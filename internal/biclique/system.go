@@ -60,13 +60,11 @@ func Start(cfg Config) (*System, error) {
 		Direct(CompShuffler, streamTuples).
 		BroadcastCtrl(CompJoinerR, streamRouteUpd).
 		BroadcastCtrl(CompJoinerS, streamRouteUpd)
-	if cfg.BatchSize > 1 {
-		// The linger ticks bound how long a partially filled batch can sit
-		// in a busy shuffler or dispatcher; an idle task flushes eagerly
-		// via the engine's Flusher hook.
-		shuffler.TickEvery(cfg.BatchLinger)
-		dispatcher.TickEvery(cfg.BatchLinger)
-	}
+	// The linger ticks bound how long a partially filled batch can sit in a
+	// busy shuffler or dispatcher; an idle task flushes eagerly via the
+	// engine's Flusher hook.
+	shuffler.TickEvery(cfg.BatchLinger)
+	dispatcher.TickEvery(cfg.BatchLinger)
 
 	b.AddBolt(CompJoinerR, newJoinerFactory(&cfg, stream.R, met), cfg.JoinersPerSide).
 		Direct(CompDispatcher, streamToR).

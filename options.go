@@ -19,7 +19,7 @@ const (
 	StoreMap
 )
 
-// String names the store kind as the -store flag does.
+// String names the store kind.
 func (k StoreKind) String() string {
 	switch k {
 	case StoreChunked:
@@ -28,18 +28,6 @@ func (k StoreKind) String() string {
 		return "map"
 	default:
 		return fmt.Sprintf("StoreKind(%d)", uint8(k))
-	}
-}
-
-// ParseStoreKind parses a -store flag value; "" means the default.
-func ParseStoreKind(s string) (StoreKind, error) {
-	switch s {
-	case "", "chunked":
-		return StoreChunked, nil
-	case "map":
-		return StoreMap, nil
-	default:
-		return 0, fmt.Errorf("fastjoin: unknown store implementation %q (want \"chunked\" or \"map\")", s)
 	}
 }
 
@@ -128,11 +116,11 @@ type MigrationOptions struct {
 	SplitWays int
 }
 
-// BatchOptions tunes the batched data plane.
+// BatchOptions tunes the data plane's batches.
 type BatchOptions struct {
-	// Size is the dispatcher's per-(stream, target) batch capacity: up to
-	// Size routed tuples travel as one message. 0 means the default
-	// (DefaultBatchSize); 1 disables batching (the A/B baseline).
+	// Size is the lane capacity of the shuffler and the dispatcher: up to
+	// Size tuples travel as one message. 0 means the default
+	// (DefaultBatchSize); 1 ships every tuple in a batch of its own.
 	Size int
 	// Linger bounds how long a partially filled batch may wait in a busy
 	// dispatcher before a tick flushes it (default 2ms).
@@ -175,11 +163,6 @@ type ObserveOptions struct {
 
 // Options configures a join system. Zero values get sensible defaults;
 // Validate (called by New) normalizes them all in one place.
-//
-// The flat migration/batch/window/chaos fields below are deprecated
-// aliases of the nested sub-structs, honored for one release: when a
-// nested field is zero, its flat alias is consulted. After Validate the
-// nested structs are authoritative and the aliases mirror them.
 type Options struct {
 	// Kind selects the system (default KindFastJoin).
 	Kind Kind
@@ -227,7 +210,7 @@ type Options struct {
 	// Migration tunes the dynamic load balancer of the migration-enabled
 	// kinds.
 	Migration MigrationOptions
-	// Batching tunes the batched data plane.
+	// Batching tunes the data plane's batches.
 	Batching BatchOptions
 	// Windowing enables window-based join semantics.
 	Windowing WindowOptions
@@ -236,110 +219,12 @@ type Options struct {
 	// Observe configures the migration tracer and the HTTP observability
 	// endpoint.
 	Observe ObserveOptions
-
-	// Theta is the load imbalance threshold Θ.
-	//
-	// Deprecated: use Migration.Theta.
-	Theta float64
-	// Cooldown is the minimum time between migrations.
-	//
-	// Deprecated: use Migration.Cooldown.
-	Cooldown time.Duration
-	// SustainTicks is the monitor's trigger hysteresis.
-	//
-	// Deprecated: use Migration.SustainTicks.
-	SustainTicks int
-	// MinBenefit is GreedyFit's θ_gap.
-	//
-	// Deprecated: use Migration.MinBenefit.
-	MinBenefit int64
-	// AbortTimeout bounds the migration marker handshake.
-	//
-	// Deprecated: use Migration.AbortTimeout.
-	AbortTimeout time.Duration
-	// BatchSize is the data-plane batch capacity.
-	//
-	// Deprecated: use Batching.Size.
-	BatchSize int
-	// BatchLinger bounds a partial batch's wait.
-	//
-	// Deprecated: use Batching.Linger.
-	BatchLinger time.Duration
-	// Window is the join window span.
-	//
-	// Deprecated: use Windowing.Span.
-	Window time.Duration
-	// SubWindows is the sub-window count.
-	//
-	// Deprecated: use Windowing.SubWindows.
-	SubWindows int
-	// ChaosProfile names a fault-injection profile ("none", "droponly",
-	// "delayonly", "duponly", "mixed", "abortstorm").
-	//
-	// Deprecated: use Chaos.Profile.
-	ChaosProfile string
-	// ChaosSeed seeds the chaos injector.
-	//
-	// Deprecated: use Chaos.Seed.
-	ChaosSeed int64
-	// Store names the window-store implementation ("chunked" or "map").
-	//
-	// Deprecated: use StoreKind.
-	Store string
 }
 
-// Validate folds the deprecated flat aliases into the nested sub-structs,
-// fills every default in one place, and rejects invalid combinations.
-// New calls it on its own copy; callers may also invoke it directly to
-// inspect the effective configuration. It is idempotent.
+// Validate fills every default in one place and rejects invalid
+// combinations. New calls it on its own copy; callers may also invoke it
+// directly to inspect the effective configuration. It is idempotent.
 func (o *Options) Validate() error {
-	// Fold deprecated aliases into their nested homes. A non-zero nested
-	// field always wins over its alias.
-	if o.Migration.Theta == 0 {
-		o.Migration.Theta = o.Theta
-	}
-	if o.Migration.Cooldown == 0 {
-		o.Migration.Cooldown = o.Cooldown
-	}
-	if o.Migration.SustainTicks == 0 {
-		o.Migration.SustainTicks = o.SustainTicks
-	}
-	if o.Migration.MinBenefit == 0 {
-		o.Migration.MinBenefit = o.MinBenefit
-	}
-	if o.Migration.AbortTimeout == 0 {
-		o.Migration.AbortTimeout = o.AbortTimeout
-	}
-	if o.Batching.Size == 0 {
-		o.Batching.Size = o.BatchSize
-	}
-	if o.Batching.Linger == 0 {
-		o.Batching.Linger = o.BatchLinger
-	}
-	if o.Windowing.Span == 0 {
-		o.Windowing.Span = o.Window
-	}
-	if o.Windowing.SubWindows == 0 {
-		o.Windowing.SubWindows = o.SubWindows
-	}
-	if o.Chaos.Seed == 0 {
-		o.Chaos.Seed = o.ChaosSeed
-	}
-	if o.Chaos.Profile == ChaosNone && o.ChaosProfile != "" {
-		p, err := ParseChaosProfile(o.ChaosProfile)
-		if err != nil {
-			return err
-		}
-		o.Chaos.Profile = p
-	}
-	if o.StoreKind == StoreChunked && o.Store != "" {
-		k, err := ParseStoreKind(o.Store)
-		if err != nil {
-			return err
-		}
-		o.StoreKind = k
-	}
-
 	// Validation.
 	if o.Kind > KindBroadcast {
 		return fmt.Errorf("fastjoin: unknown system kind %v", o.Kind)
@@ -417,19 +302,5 @@ func (o *Options) Validate() error {
 		o.Observe.TraceCapacity = obs.DefaultTraceCapacity
 	}
 
-	// Mirror the merged values back into the aliases so legacy readers of
-	// the struct observe the effective configuration.
-	o.Theta = o.Migration.Theta
-	o.Cooldown = o.Migration.Cooldown
-	o.SustainTicks = o.Migration.SustainTicks
-	o.MinBenefit = o.Migration.MinBenefit
-	o.AbortTimeout = o.Migration.AbortTimeout
-	o.BatchSize = o.Batching.Size
-	o.BatchLinger = o.Batching.Linger
-	o.Window = o.Windowing.Span
-	o.SubWindows = o.Windowing.SubWindows
-	o.ChaosSeed = o.Chaos.Seed
-	o.ChaosProfile = o.Chaos.Profile.String()
-	o.Store = o.StoreKind.String()
 	return nil
 }

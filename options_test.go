@@ -6,66 +6,6 @@ import (
 	"time"
 )
 
-func TestValidateFoldsDeprecatedAliases(t *testing.T) {
-	o := Options{
-		Kind:         KindFastJoin,
-		Theta:        3.5,
-		Cooldown:     250 * time.Millisecond,
-		SustainTicks: 5,
-		MinBenefit:   77,
-		AbortTimeout: 4 * time.Second,
-		BatchSize:    16,
-		BatchLinger:  7 * time.Millisecond,
-		Window:       9 * time.Second,
-		SubWindows:   4,
-		ChaosProfile: "mixed",
-		ChaosSeed:    99,
-		Store:        "map",
-	}
-	if err := o.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if o.Migration.Theta != 3.5 || o.Migration.Cooldown != 250*time.Millisecond ||
-		o.Migration.SustainTicks != 5 || o.Migration.MinBenefit != 77 ||
-		o.Migration.AbortTimeout != 4*time.Second {
-		t.Errorf("migration aliases not folded: %+v", o.Migration)
-	}
-	if o.Batching != (BatchOptions{Size: 16, Linger: 7 * time.Millisecond}) {
-		t.Errorf("batch aliases not folded: %+v", o.Batching)
-	}
-	if o.Windowing != (WindowOptions{Span: 9 * time.Second, SubWindows: 4}) {
-		t.Errorf("window aliases not folded: %+v", o.Windowing)
-	}
-	if o.Chaos != (ChaosOptions{Profile: ChaosMixed, Seed: 99}) {
-		t.Errorf("chaos aliases not folded: %+v", o.Chaos)
-	}
-	if o.StoreKind != StoreMap {
-		t.Errorf("store alias not folded: %v", o.StoreKind)
-	}
-}
-
-func TestValidateNestedWinsOverAlias(t *testing.T) {
-	o := Options{
-		Kind:      KindFastJoin,
-		Theta:     9.9,
-		Migration: MigrationOptions{Theta: 1.5},
-		Store:     "map",
-		StoreKind: StoreChunked, // zero value: alias must win here
-	}
-	if err := o.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if o.Migration.Theta != 1.5 {
-		t.Errorf("nested Theta overridden by alias: %v", o.Migration.Theta)
-	}
-	if o.Theta != 1.5 {
-		t.Errorf("alias not mirrored back: %v", o.Theta)
-	}
-	if o.StoreKind != StoreMap {
-		t.Errorf("zero StoreKind did not defer to Store alias: %v", o.StoreKind)
-	}
-}
-
 func TestValidateDefaults(t *testing.T) {
 	o := Options{Kind: KindFastJoin, Windowing: WindowOptions{Span: time.Second}}
 	if err := o.Validate(); err != nil {
@@ -114,8 +54,6 @@ func TestValidateRejects(t *testing.T) {
 		o    Options
 		want string
 	}{
-		{"bad store alias", Options{Store: "bogus"}, "unknown store"},
-		{"bad chaos alias", Options{ChaosProfile: "bogus"}, "unknown chaos profile"},
 		{"bad store kind", Options{StoreKind: StoreKind(9)}, "unknown store"},
 		{"bad chaos kind", Options{Chaos: ChaosOptions{Profile: ChaosProfile(9)}}, "unknown chaos profile"},
 		{"bad kind", Options{Kind: Kind(42)}, "unknown system kind"},
@@ -141,17 +79,10 @@ func TestValidateRejects(t *testing.T) {
 }
 
 func TestStoreKindRoundTrip(t *testing.T) {
-	for _, k := range []StoreKind{StoreChunked, StoreMap} {
-		got, err := ParseStoreKind(k.String())
-		if err != nil || got != k {
-			t.Errorf("ParseStoreKind(%q) = %v, %v", k.String(), got, err)
+	for k, want := range map[StoreKind]string{StoreChunked: "chunked", StoreMap: "map", StoreKind(9): "StoreKind(9)"} {
+		if got := k.String(); got != want {
+			t.Errorf("StoreKind(%d).String() = %q, want %q", uint8(k), got, want)
 		}
-	}
-	if k, err := ParseStoreKind(""); err != nil || k != StoreChunked {
-		t.Errorf(`ParseStoreKind("") = %v, %v; want chunked default`, k, err)
-	}
-	if _, err := ParseStoreKind("bogus"); err == nil {
-		t.Error("bogus store accepted")
 	}
 }
 
@@ -168,29 +99,5 @@ func TestChaosProfileRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseChaosProfile("bogus"); err == nil {
 		t.Error("bogus profile accepted")
-	}
-}
-
-// TestFlatOptionsStillWork runs a small system configured entirely through
-// the deprecated flat fields — the one-release compatibility promise.
-func TestFlatOptionsStillWork(t *testing.T) {
-	sys, err := New(Options{
-		Kind:     KindFastJoin,
-		Joiners:  2,
-		Sources:  []TupleSource{finiteSource(400, 8)},
-		Theta:    1.5,
-		Cooldown: 20 * time.Millisecond,
-		Store:    "map",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.WaitComplete(time.Minute); err != nil {
-		sys.Stop()
-		t.Fatal(err)
-	}
-	sys.Stop()
-	if sys.Stats().Results == 0 {
-		t.Error("flat-configured system joined nothing")
 	}
 }
