@@ -2,7 +2,7 @@ GO      ?= go
 PKGS    ?= ./...
 # Concurrency-critical packages: the fast race gate stays under ~1 minute
 # so it can run on every local iteration.
-RACE_FAST_PKGS = ./internal/engine ./internal/biclique ./internal/transport
+RACE_FAST_PKGS = ./internal/engine ./internal/biclique ./internal/transport ./internal/remote
 
 # Chaos sweep size: seeds per profile in `make chaos`. 50 seeds across the
 # four fault profiles plus the differential matrix gives 200+ seeded runs.
@@ -30,7 +30,7 @@ lint:
 race:
 	$(GO) test -race -count=1 $(PKGS)
 
-## race-fast: race smoke test scoped to the engine/biclique/transport
+## race-fast: race smoke test scoped to the engine/biclique/transport/remote
 ## concurrency core, for local iteration.
 race-fast:
 	$(GO) test -race -count=1 $(RACE_FAST_PKGS)

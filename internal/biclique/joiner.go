@@ -338,15 +338,22 @@ func (b *joinerBolt) probe(tm TupleMsg, out *engine.Collector) {
 	b.probesInterval++
 	b.probeCur[key]++
 
-	// One clock read per probe, not per matched pair: on a hot key a
-	// single probe can yield thousands of pairs and the vDSO call would
-	// dominate the whole scan (it showed up at ~47% of CPU).
-	b.probeTuple = tm.T
-	b.probeNow = stream.Now()
-	b.probeOut = out
-	b.probeMatches, b.probeScanned, b.runOpen = 0, 0, false
-	b.store.ForEachRun(key, b.runFn)
-	b.probeOut = nil
+	if !b.cfg.EmitResults && b.cfg.Predicate == nil {
+		// Count-only with no predicate: every stored tuple of the key is a
+		// match, so the store's count answers the probe in O(1).
+		n := b.store.KeyCount(key)
+		b.probeMatches, b.probeScanned = int64(n), n
+	} else {
+		// One clock read per probe, not per matched pair: on a hot key a
+		// single probe can yield thousands of pairs and the vDSO call would
+		// dominate the whole scan (it showed up at ~47% of CPU).
+		b.probeTuple = tm.T
+		b.probeNow = stream.Now()
+		b.probeOut = out
+		b.probeMatches, b.probeScanned, b.runOpen = 0, 0, false
+		b.store.ForEachRun(key, b.runFn)
+		b.probeOut = nil
+	}
 	if !b.cfg.EmitResults && b.probeMatches > 0 {
 		b.met.Results.Mark(b.probeMatches)
 	}
@@ -366,11 +373,12 @@ func (b *joinerBolt) probe(tm TupleMsg, out *engine.Collector) {
 // emitRun is the probe's per-run callback (bound to runFn): run is a
 // read-only view of stored tuples matching the probe in progress on key
 // equality, valid only for this call. Without a predicate the whole run is
-// a match and ships with one bulk copy — or, in count-only mode, is merely
-// counted, which makes a probe O(chunks). With a predicate the run is
-// filtered in place, each accepted tuple appended as soon as it is
-// accepted: a predicate that panics loses the rest of its own probe and
-// nothing that was matched before it.
+// a match and ships with one bulk copy (a count-only probe without a
+// predicate never gets here: probe takes the store's count). With a
+// predicate the run is filtered in place, each accepted tuple appended —
+// or, in count-only mode, counted — as soon as it is accepted: a predicate
+// that panics loses the rest of its own probe and nothing that was matched
+// before it.
 //
 //lint:hotpath
 func (b *joinerBolt) emitRun(run []stream.Tuple) {
@@ -378,9 +386,7 @@ func (b *joinerBolt) emitRun(run []stream.Tuple) {
 	pred := b.cfg.Predicate
 	if pred == nil {
 		b.probeMatches += int64(len(run))
-		if b.cfg.EmitResults {
-			b.appendRun(run)
-		}
+		b.appendRun(run)
 		return
 	}
 	for i := range run {

@@ -315,7 +315,7 @@ func TestPutPairBatchClearsPayloads(t *testing.T) {
 	}
 }
 
-// Count-only mode counts whole runs without touching a batch.
+// A count-only probe takes the store's count and never touches a batch.
 func TestCountOnlyProbeBuildsNoBatch(t *testing.T) {
 	b := newTestJoiner(t, Config{})
 	out := engine.NullCollector()

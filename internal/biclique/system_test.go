@@ -1,6 +1,7 @@
 package biclique
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -313,23 +314,46 @@ func TestMultipleSources(t *testing.T) {
 	assertExactlyOnce(t, referenceJoin(all, nil), col.snapshot())
 }
 
+// Count-only totals equal the emitting run's and the reference's, on the
+// unbounded and the windowed store, with migrations moving keys mid-run.
 func TestCountOnlyModeMatchesPairCount(t *testing.T) {
-	tuples := makeWorkload(4000, 40, 0.2, 8)
-	want := referenceJoin(tuples, nil)
+	tuples := makeWorkload(4000, 40, 0.3, 8)
+	want := int64(len(referenceJoin(tuples, nil)))
+	for _, window := range []time.Duration{0, time.Hour} {
+		t.Run(fmt.Sprintf("window=%v", window), func(t *testing.T) {
+			cfg := baseConfig()
+			cfg.Window = window
+			cfg.Migration = MigrationConfig{
+				Enabled: true,
+				Policy: core.MonitorPolicy{
+					Theta:     1.2,
+					Cooldown:  25 * time.Millisecond,
+					MinStored: 16,
+				},
+			}
+			_, pairs := runFinitePaced(t, cfg, tuples)
+			var emitted int64
+			for _, n := range pairs {
+				emitted += int64(n)
+			}
 
-	cfg := baseConfig()
-	cfg.Sources = []TupleSource{sliceSource(tuples)}
-	sys, err := Start(cfg)
-	if err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	if err := sys.WaitComplete(30 * time.Second); err != nil {
-		sys.Stop()
-		t.Fatalf("WaitComplete: %v", err)
-	}
-	sys.Stop()
-	if got := sys.Metrics().Results.Count(); got != int64(len(want)) {
-		t.Errorf("counted %d pairs, reference has %d", got, len(want))
+			cfg.Sources = []TupleSource{paced(sliceSource(tuples))}
+			sys, err := Start(cfg)
+			if err != nil {
+				t.Fatalf("Start: %v", err)
+			}
+			if err := sys.WaitComplete(30 * time.Second); err != nil {
+				sys.Stop()
+				t.Fatalf("WaitComplete: %v", err)
+			}
+			sys.Stop()
+			if got := sys.Metrics().Results.Count(); got != emitted || got != want {
+				t.Errorf("counted %d pairs, emitting run %d, reference %d", got, emitted, want)
+			}
+			if sys.Metrics().Migrations.Value() == 0 {
+				t.Error("no migration in the count-only run; the moved-store path went untested")
+			}
+		})
 	}
 }
 

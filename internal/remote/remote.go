@@ -7,6 +7,7 @@
 package remote
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -19,13 +20,24 @@ import (
 // tupleStream is the transport stream name carrying tuples.
 const tupleStream = "tuples"
 
+// tupleChunk is the one message shape of the tuple stream: the tuples one
+// Send carries, in source order. The slice is typed, so gob writes each
+// tuple's fields directly, where a transport.Chunk would box every tuple
+// and name its type on the wire.
+type tupleChunk struct {
+	Tuples []stream.Tuple
+}
+
 func init() {
+	transport.RegisterValue(tupleChunk{})
 	// Payload types that may travel inside tuples.
-	transport.RegisterValue(stream.Tuple{})
 	transport.RegisterValue(workload.OrderPayload{})
 	transport.RegisterValue(workload.TrackPayload{})
 	transport.RegisterValue(workload.QueryPayload{})
 	transport.RegisterValue(workload.ClickPayload{})
+	// For tuples boxed in a transport.Chunk, as the benchmark's transport
+	// timings still send them.
+	transport.RegisterValue(stream.Tuple{})
 }
 
 // AcceptSources waits for n client connections on the server and returns
@@ -56,114 +68,110 @@ func AcceptSources(srv *transport.Server, n int) ([]fastjoin.TupleSource, func()
 }
 
 // connSource adapts one connection to a pull-based tuple source. The spout
-// goroutine blocks in Recv between tuples; EOF or any error ends the
-// source. Tuples arrive either singly or packed in a transport.Chunk
-// (the wire-level batch StreamTuples sends); a chunk is unpacked in order
-// across successive pulls.
+// goroutine blocks in Recv between chunks and hands out each decoded
+// tupleChunk's slice in order; messages of another stream or shape are
+// skipped. EOF or any error ends the source for good.
 func connSource(conn transport.Conn) fastjoin.TupleSource {
 	done := false
-	var queued []stream.Tuple // remainder of the chunk being unpacked
+	var chunk []stream.Tuple // what is left of the chunk being handed out
 	return func() (fastjoin.Tuple, bool) {
-		if done {
-			return fastjoin.Tuple{}, false
-		}
-		for {
-			if len(queued) > 0 {
-				t := queued[0]
-				queued = queued[1:]
-				return t, true
+		for len(chunk) == 0 {
+			if done {
+				return fastjoin.Tuple{}, false
 			}
 			m, err := conn.Recv()
 			if err != nil {
 				done = true
 				return fastjoin.Tuple{}, false
 			}
-			if m.Stream != tupleStream {
-				continue // ignore non-tuple traffic
-			}
-			switch v := m.Value.(type) {
-			case stream.Tuple:
-				return v, true
-			case transport.Chunk:
-				for _, raw := range v.Values {
-					if t, ok := raw.(stream.Tuple); ok {
-						queued = append(queued, t)
-					}
-				}
+			if c, ok := m.Value.(tupleChunk); ok && m.Stream == tupleStream {
+				chunk = c.Tuples
 			}
 		}
+		t := chunk[0]
+		chunk = chunk[1:]
+		return t, true
 	}
 }
 
 // StreamTuples dials a join server and pushes the source's tuples until it
-// is exhausted, then closes the connection. Tuples travel packed in
-// transport.Chunks of DefaultChunkSize, so the gob pipe encodes and the
-// reliable layer sequences each group as a single unit. It returns how
-// many tuples were sent.
+// is exhausted, then closes the connection. A message carries at most
+// DefaultChunkSize tuples and ships as soon as no further tuple is
+// waiting (see StreamTuplesChunked). It returns how many tuples were sent.
 func StreamTuples(addr string, src fastjoin.TupleSource) (int, error) {
 	return StreamTuplesChunked(addr, src, transport.DefaultChunkSize)
 }
 
-// StreamTuplesChunked is StreamTuples with an explicit chunk size;
-// size <= 1 sends one message per tuple (the unbatched wire format).
+// StreamTuplesChunked is StreamTuples with an explicit cap on the tuples
+// one message carries; size < 1 counts as 1.
+//
+// It follows the engine's idle-flush rule: a chunk ships as soon as no
+// further tuple is already waiting, and size is only a cap. src runs on a
+// goroutine of its own that fills a queue of size tuples; the send loop
+// blocks for the first tuple, takes whatever else is queued, and sends.
+// Under saturation tuples pile up while Send runs, so chunks fill; a paced
+// source leaves the sender idle, so a chunk carries the tuple or two that
+// are ready. src is never called after StreamTuplesChunked returns, and
+// never from two goroutines at once.
 func StreamTuplesChunked(addr string, src fastjoin.TupleSource, size int) (int, error) {
 	conn, err := transport.Dial(addr)
 	if err != nil {
 		return 0, err
 	}
 	defer conn.Close()
+	return sendTuples(conn, src, size)
+}
+
+// sendTuples is StreamTuplesChunked's send loop over an established
+// connection. It returns the number of tuples in chunks Send accepted.
+func sendTuples(conn transport.Conn, src fastjoin.TupleSource, size int) (int, error) {
+	size = max(size, 1)
+	// One chunk's worth: what piles up while the previous chunk is in Send.
+	queue := make(chan stream.Tuple, size)
+	stop := make(chan struct{})
+	go pull(src, queue, stop)
 	sent := 0
-	sendOne := func(v any) error {
-		err := conn.Send(transport.Message{Stream: tupleStream, Value: v})
-		if err != nil && err != io.EOF {
-			return fmt.Errorf("remote: send after %d tuples: %w", sent, err)
+	for t := range queue {
+		// The loop is the queue's only receiver, so the tuples counted here
+		// are still there to take.
+		chunk := make([]stream.Tuple, min(1+len(queue), size))
+		chunk[0] = t
+		for i := 1; i < len(chunk); i++ {
+			chunk[i] = <-queue
 		}
-		return err
-	}
-	if size <= 1 {
-		for {
-			t, ok := src()
-			if !ok {
+		if err := conn.Send(transport.Message{Stream: tupleStream, Value: tupleChunk{Tuples: chunk}}); err != nil {
+			close(stop)
+			for range queue {
+				// Discard until pull returns and closes queue.
+			}
+			if errors.Is(err, io.EOF) {
 				return sent, nil
 			}
-			if err := sendOne(t); err != nil {
-				if err == io.EOF {
-					return sent, nil
-				}
-				return sent, err
-			}
-			sent++
+			return sent, fmt.Errorf("remote: send after %d tuples: %w", sent, err)
 		}
+		sent += len(chunk)
 	}
-	chunk := transport.Chunk{Values: make([]any, 0, size)}
-	flush := func() error {
-		if len(chunk.Values) == 0 {
-			return nil
-		}
-		if err := sendOne(chunk); err != nil {
-			return err
-		}
-		sent += len(chunk.Values)
-		// Fresh slice: the gob encoder may still reference the old one.
-		chunk.Values = make([]any, 0, size)
-		return nil
-	}
+	return sent, nil
+}
+
+// pull feeds src into queue until src is exhausted or stop is closed, then
+// closes queue. It starts no src call once it has seen stop.
+func pull(src fastjoin.TupleSource, queue chan<- stream.Tuple, stop <-chan struct{}) {
+	defer close(queue)
 	for {
+		select {
+		case <-stop:
+			return
+		default:
+		}
 		t, ok := src()
 		if !ok {
-			if err := flush(); err != nil && err != io.EOF {
-				return sent, err
-			}
-			return sent, nil
+			return
 		}
-		chunk.Values = append(chunk.Values, t)
-		if len(chunk.Values) >= size {
-			if err := flush(); err != nil {
-				if err == io.EOF {
-					return sent, nil
-				}
-				return sent, err
-			}
+		select {
+		case queue <- t:
+		case <-stop:
+			return
 		}
 	}
 }

@@ -115,7 +115,7 @@ func TestConnSourceIgnoresForeignMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := fastjoin.Tuple{Side: fastjoin.R, Key: 9, Seq: 3}
-	if err := a.Send(transport.Message{Stream: "tuples", Value: want}); err != nil {
+	if err := a.Send(transport.Message{Stream: "tuples", Value: tupleChunk{Tuples: []fastjoin.Tuple{want}}}); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := src()
