@@ -7,9 +7,11 @@ RACE_FAST_PKGS = ./internal/engine ./internal/biclique ./internal/transport ./in
 # Chaos sweep size: seeds per profile in `make chaos`. 50 seeds across the
 # four fault profiles plus the differential matrix gives 200+ seeded runs.
 CHAOS_RUNS ?= 50
+# Rounds of `make chaos-stress` (the chaos matrix under parallel load).
+CHAOS_STRESS_ROUNDS ?= 20
 FUZZTIME   ?= 20s
 
-.PHONY: build test lint vet race race-fast bench bench-smoke benchmark-smoke obs-smoke chaos chaos-split fuzz-short cover escape-gate footprint-gate ci
+.PHONY: build test lint vet race race-fast bench bench-smoke benchmark-smoke obs-smoke chaos chaos-split chaos-stress fuzz-short cover escape-gate footprint-gate ci
 
 build:
 	$(GO) build $(PKGS)
@@ -88,6 +90,15 @@ chaos:
 chaos-split:
 	$(GO) test -race -count=1 -timeout=15m ./internal/biclique \
 		-run 'TestChaosDifferential/[a-z]+/split=on|TestChaosStoreDifferential/[a-z]+/[a-z]+/split=on|TestSplitMigrateUnsplitInterleaving|TestSplit|TestChaosChurnRetire|TestChurnRetireTraceSpans'
+
+## chaos-stress: exactly-once under a busy box. Each round runs
+## TestTraceSpansUnderChaos and TestChaosDifferential from one -race test
+## binary while two more copies of TestChaosDifferential run beside it as
+## load; any failure in any of the three fails the round
+## (scripts/chaos_stress.sh; logs of failed rounds stay in .chaos_stress/).
+## Not part of `ci`: a round takes minutes.
+chaos-stress:
+	CHAOS_STRESS_ROUNDS=$(CHAOS_STRESS_ROUNDS) GO=$(GO) ./scripts/chaos_stress.sh
 
 ## fuzz-short: bounded fuzzing of the wire-frame decoder, the routing
 ## update path and the window store (an op stream against the chunked store

@@ -42,7 +42,6 @@ func chaosBaseConfig(seed uint64) Config {
 			Cooldown:  15 * time.Millisecond,
 			MinStored: 8,
 		},
-		StuckTimeout: 500 * time.Millisecond,
 		AbortTimeout: 150 * time.Millisecond,
 	}
 	return cfg
@@ -289,7 +288,6 @@ func TestChaosClassify(t *testing.T) {
 		{RouteUpdate{}, chaos.ClassRouteUpdate},
 		{MigrateCmd{}, chaos.ClassCommand},
 		{LoadReport{}, chaos.ClassReport},
-		{MigrationDone{}, chaos.ClassReport},
 		{MigrateBatch{}, chaos.ClassMigData},
 		{MigrateFlush{}, chaos.ClassMigData},
 		{MigrateAbort{}, chaos.ClassMigData},

@@ -56,7 +56,7 @@ func ChaosClassify(value any) chaos.Class {
 		// The split handshake's request leg: droppable like a MigrateCmd —
 		// the detector re-sends it every epoch until acked.
 		return chaos.ClassCommand
-	case LoadReport, MigrationDone:
+	case LoadReport:
 		return chaos.ClassReport
 	case SplitAck:
 		// The handshake's reply leg: droppable; the owner re-acks the next

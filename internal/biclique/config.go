@@ -90,7 +90,10 @@ func newStore(cfg *Config) window.Store {
 	}
 }
 
-// MigrationConfig controls FastJoin's dynamic load balancing.
+// MigrationConfig controls FastJoin's dynamic load balancing. Each side
+// runs at most one migration at a time: the side's monitor numbers its
+// decisions and issues the next one only after a load report says the
+// previous one finished at both ends.
 type MigrationConfig struct {
 	// Enabled turns the monitors' migration triggers on. With it off the
 	// system behaves exactly like BiStream under the same strategy.
@@ -101,9 +104,6 @@ type MigrationConfig struct {
 	Selector core.Selector
 	// MinBenefit is θ_gap for GreedyFit.
 	MinBenefit int64
-	// StuckTimeout re-arms a monitor whose triggered migration never
-	// reported completion (e.g. the source instance panicked).
-	StuckTimeout time.Duration
 	// AbortTimeout bounds how long a migration source waits for the
 	// dispatcher marker handshake before aborting the attempt and rolling
 	// it back (routing restored, batch returned, buffered tuples replayed
@@ -324,9 +324,6 @@ func (c *Config) Validate() error {
 		if c.Migration.Selector == nil {
 			c.Migration.Selector = core.GreedyFit
 		}
-		if c.Migration.StuckTimeout <= 0 {
-			c.Migration.StuckTimeout = 10 * time.Second
-		}
 		if c.Migration.MinBenefit <= 0 {
 			// θ_gap: keys whose migration benefit is zero are pure routing
 			// churn; skip them by default.
@@ -373,8 +370,6 @@ const (
 	streamSplitR   = "splitR"   // dispatcher -> joinerR (direct ctrl): split intents
 	streamSplitS   = "splitS"   // dispatcher -> joinerS (direct ctrl): split intents
 	streamRouteUpd = "routeupd" // joiners -> all dispatchers (ctrl)
-	streamDoneR    = "migdoneR" // joinerR -> monitorR (ctrl)
-	streamDoneS    = "migdoneS" // joinerS -> monitorS (ctrl)
 )
 
 // tupleStream returns the dispatcher->joiner stream for a side.
@@ -420,12 +415,4 @@ func migStream(side stream.Side) string {
 		return streamMigR
 	}
 	return streamMigS
-}
-
-// doneStream returns the joiner->monitor migration-done stream for a side.
-func doneStream(side stream.Side) string {
-	if side == stream.R {
-		return streamDoneR
-	}
-	return streamDoneS
 }

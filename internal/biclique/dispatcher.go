@@ -128,12 +128,13 @@ type dispatcherBolt struct {
 	buf   []int // reusable probe-target buffer
 	// seq numbers every routed tuple; see TupleMsg.Seq.
 	seq uint64
-	// applied orders routing updates per migration source so a delayed
-	// stale update (e.g. a forward update overtaken by its own revert)
-	// cannot rewind the table. Re-deliveries of the newest update are
-	// re-applied (idempotent) and re-acked, which is what recovers
-	// dropped markers.
-	applied map[updateKey]uint64
+	// applied is the ordinal (updateOrd) of the newest routing update
+	// applied per side. Epochs are the side's decision IDs, so a delayed
+	// stale update — a forward update overtaken by its own revert, or a
+	// late copy of an earlier migration's update — cannot rewind the
+	// table. Re-deliveries of the newest update are re-applied
+	// (idempotent) and re-acked, which is what recovers dropped markers.
+	applied [2]uint64
 	// batch is the lane capacity; lanes holds the open batch of each
 	// (side, joiner-task) pair.
 	batch int
@@ -149,13 +150,7 @@ type batchLane struct {
 	fill int // what the last flush carried
 }
 
-// updateKey identifies the update stream of one migration source.
-type updateKey struct {
-	side   stream.Side
-	source int
-}
-
-// updateOrd totally orders one source's updates: the revert of an epoch
+// updateOrd totally orders one side's updates: the revert of an epoch
 // supersedes its forward update, and the next epoch supersedes both.
 func updateOrd(u RouteUpdate) uint64 {
 	ord := u.Epoch * 2
@@ -186,18 +181,14 @@ func (b *dispatcherBolt) Execute(m engine.Message, out *engine.Collector) {
 			b.routeTuple(v.Tuples[i], out)
 		}
 	case RouteUpdate:
-		if b.applied == nil {
-			b.applied = make(map[updateKey]uint64)
-		}
-		k := updateKey{side: v.Side, source: v.Source}
 		ord := updateOrd(v)
-		if ord < b.applied[k] {
-			return // stale: a newer update from this source already applied
+		if ord < b.applied[v.Side] {
+			return // stale: a newer update of this side already applied
 		}
 		// First sighting of this update (re-deliveries re-apply and re-ack
 		// but are not re-traced).
-		first := ord > b.applied[k]
-		b.applied[k] = ord
+		first := ord > b.applied[v.Side]
+		b.applied[v.Side] = ord
 		// Flush every open batch before the marker: the fencing proof needs
 		// the marker to ride behind every tuple this task routed before the
 		// update, including tuples still sitting in a lane's open batch.

@@ -72,7 +72,9 @@ type joinerBolt struct {
 	statScratch []core.KeyStat
 	probeMerge  map[stream.Key]int64
 
-	// Migration source state. Epochs number this instance's attempts;
+	// Migration source state. migEpoch is the ID of the last command this
+	// instance accepted, which is the epoch of its attempt: decision IDs
+	// are side-wide, so an epoch names one attempt on the whole side.
 	// markerSet collects the distinct dispatcher tasks that acked the
 	// current update (faults can drop or duplicate markers, so a plain
 	// countdown would miscount). The current update is re-broadcast every
@@ -117,15 +119,20 @@ type joinerBolt struct {
 	// re-announce loop.
 	drainScratch []stream.Key
 
-	// Migration target state, per source instance: keys whose batch
-	// arrived but whose flush (or abort return) is still pending, plus
-	// the buffered directly-routed tuples. finished remembers each
-	// source's highest completed epoch so duplicated batches, flushes,
-	// and aborts are answered idempotently; lastReturn re-sends the
-	// rollback payload when a duplicate abort arrives after the fact.
-	inbound    map[int]*inboundMig
-	finished   map[int]uint64
-	lastReturn map[int]MigrateReturn
+	// Migration target state. The side's monitor runs one migration at a
+	// time, so an instance is the target of at most one attempt: inbound
+	// holds its keys whose batch arrived but whose flush (or abort
+	// return) is still pending, plus the buffered directly-routed tuples.
+	// installed is the highest epoch whose batch this instance took, so a
+	// duplicated batch is dropped; lastReturn re-sends the rollback
+	// payload when a duplicate abort arrives after the fact.
+	inbound    *inboundMig
+	installed  uint64
+	lastReturn MigrateReturn
+
+	// done is the highest decision ID whose last step ran here (see
+	// LoadReport.Done); every load report carries it.
+	done uint64
 
 	// Capacity emulation (Config.ServiceRate): virtual ops consumed and
 	// the wall-clock origin they are measured against.
@@ -312,13 +319,11 @@ func (b *joinerBolt) handleTuple(tm TupleMsg, out *engine.Collector) {
 		b.tempQueue = append(b.tempQueue, tm)
 		return
 	}
-	for _, in := range b.inbound {
-		if in.keys[key] {
-			// The key is arriving: its batch is installed but the source's
-			// flush (older tuples) has not landed yet; keep FIFO by waiting.
-			in.buf = append(in.buf, tm)
-			return
-		}
+	if in := b.inbound; in != nil && in.keys[key] {
+		// The key is arriving: its batch is installed but the source's
+		// flush (older tuples) has not landed yet; keep FIFO by waiting.
+		in.buf = append(in.buf, tm)
+		return
 	}
 	switch tm.Op {
 	case OpStore:
@@ -472,13 +477,8 @@ func (b *joinerBolt) trace(source int, ev obs.Event) {
 // the time salted routing can start, no future selection here can pick
 // the key up again.
 func (b *joinerBolt) handleSplitIntent(v SplitIntent, out *engine.Collector) {
-	if b.migrating && b.migKeys[v.Key] {
+	if b.migrating && b.migKeys[v.Key] || b.inbound != nil && b.inbound.keys[v.Key] {
 		return
-	}
-	for _, in := range b.inbound {
-		if in.keys[v.Key] {
-			return
-		}
 	}
 	b.taintSplit(v.Key, false)
 	out.Emit(streamRouteUpd, SplitAck{Side: b.side, Key: v.Key, Epoch: v.Epoch, From: b.ctx.Task})
@@ -560,22 +560,16 @@ func (b *joinerBolt) handleSplitRetire(v SplitRetire) {
 	}
 }
 
-// startMigration is the source-side entry of Algorithm 2.
+// startMigration is the source-side entry of Algorithm 2. The monitor
+// re-sends its command every tick while the decision is in flight, so a
+// command at or below the last accepted ID is a re-send (or a late copy)
+// and is ignored. A new ID finds this instance idle: the monitor issues
+// it only after the previous decision finished at both ends.
 func (b *joinerBolt) startMigration(cmd MigrateCmd, out *engine.Collector) {
-	if b.migrating || cmd.Target.Instance == b.ctx.Task {
-		// Stale or self-targeted command: report an empty migration so the
-		// monitor re-arms. Epoch 0 keeps the report out of the trace — no
-		// span was opened, and the report must not inject events into the
-		// in-flight attempt's span.
-		b.reportDone(out, cmd.Target.Instance, 0, 0, cmd.LI, false, 0)
+	if cmd.ID <= b.migEpoch {
 		return
 	}
-	// Every accepted command consumes an epoch, so an attempt whose
-	// selection comes up empty still gets its own trace span instead of
-	// reusing the previous attempt's ID. Epochs only need to be per-source
-	// monotone — the dispatchers' update ordering and the targets'
-	// finished map both tolerate gaps.
-	b.migEpoch++
+	b.migEpoch = cmd.ID
 	b.trace(b.ctx.Task, obs.Event{
 		Kind:   obs.KindTrigger,
 		Epoch:  b.migEpoch,
@@ -607,7 +601,7 @@ func (b *joinerBolt) startMigration(cmd MigrateCmd, out *engine.Collector) {
 			Target: cmd.Target.Instance,
 			LI:     cmd.LI,
 		})
-		b.reportDone(out, cmd.Target.Instance, 0, 0, cmd.LI, false, b.migEpoch)
+		b.done = b.migEpoch
 		return
 	}
 
@@ -712,8 +706,8 @@ func (b *joinerBolt) handleMarker(v Marker, out *engine.Collector) {
 		Moved:  moved,
 		LI:     b.migLI,
 	})
+	b.recordMigration(target, keys, moved, false)
 	b.clearSourceState()
-	b.reportDone(out, target, keys, moved, b.migLI, false, b.migEpoch)
 }
 
 // clearSourceState ends this instance's outbound migration attempt.
@@ -839,56 +833,44 @@ func (b *joinerBolt) tryFinishSourceAbort(out *engine.Collector) {
 		Moved:  moved,
 		LI:     b.migLI,
 	})
-	b.reportDone(out, target, keys, moved, b.migLI, true, epoch)
+	b.recordMigration(target, keys, moved, true)
+	// The rollback replay is the aborted attempt's last step.
+	b.done = epoch
 }
 
-// reportDone notifies the side's monitor that the migration attempt
-// ended (completed or aborted), re-arming its trigger. epoch identifies
-// the attempt for tracing; zero marks a report with no span (a rejected
-// or self-targeted command).
-func (b *joinerBolt) reportDone(out *engine.Collector, target, keys, moved int, li float64, aborted bool, epoch uint64) {
-	if keys > 0 {
-		if aborted {
-			b.met.MigrationAborts.Inc()
-		} else {
-			b.met.Migrations.Inc()
-			b.met.MigratedKeys.Add(int64(keys))
-			b.met.MigratedTuples.Add(int64(moved))
-		}
-		b.met.RecordMigration(MigrationEvent{
-			At:      stream.Now(),
-			Side:    b.side,
-			Source:  b.ctx.Task,
-			Target:  target,
-			LI:      li,
-			Keys:    keys,
-			Moved:   moved,
-			Aborted: aborted,
-		})
+// recordMigration counts a committed or rolled-back attempt in the
+// system metrics and the migration log, at the source.
+func (b *joinerBolt) recordMigration(target, keys, moved int, aborted bool) {
+	if aborted {
+		b.met.MigrationAborts.Inc()
+	} else {
+		b.met.Migrations.Inc()
+		b.met.MigratedKeys.Add(int64(keys))
+		b.met.MigratedTuples.Add(int64(moved))
 	}
-	out.Emit(doneStream(b.side), MigrationDone{
+	b.met.RecordMigration(MigrationEvent{
+		At:      stream.Now(),
 		Side:    b.side,
 		Source:  b.ctx.Task,
 		Target:  target,
+		LI:      b.migLI,
 		Keys:    keys,
 		Moved:   moved,
 		Aborted: aborted,
-		Epoch:   epoch,
 	})
 }
 
 // installBatch is the target-side arrival: adopt the keys and hold any
-// directly-routed tuples until the source's flush lands.
+// directly-routed tuples until the source's flush lands. Epochs are
+// side-wide decision IDs and every attempt ships one batch, so a batch at
+// or below the highest installed epoch is a duplicate; a new one finds
+// the inbound slot empty, since the monitor starts the next attempt only
+// after this instance finished the previous one.
 func (b *joinerBolt) installBatch(batch MigrateBatch) {
-	if b.finished[batch.From] >= batch.Epoch {
-		return // duplicate of an attempt already completed or rolled back
+	if batch.Epoch <= b.installed {
+		return
 	}
-	if in, ok := b.inbound[batch.From]; ok && in.epoch == batch.Epoch {
-		return // duplicate of the in-flight attempt
-	}
-	if b.inbound == nil {
-		b.inbound = make(map[int]*inboundMig)
-	}
+	b.installed = batch.Epoch
 	in := &inboundMig{
 		origin: batch.From,
 		epoch:  batch.Epoch,
@@ -897,7 +879,7 @@ func (b *joinerBolt) installBatch(batch MigrateBatch) {
 	for _, k := range batch.Keys {
 		in.keys[k] = true
 	}
-	b.inbound[batch.From] = in
+	b.inbound = in
 	b.store.AddBulk(batch.Tuples)
 	b.storedGauge().Add(int64(len(batch.Tuples)))
 	b.trace(batch.From, obs.Event{
@@ -913,13 +895,13 @@ func (b *joinerBolt) installBatch(batch MigrateBatch) {
 
 // handleFlush replays the source's temporary queue, then the tuples this
 // instance buffered while waiting — restoring the original per-key order.
+// The replay is the committed attempt's last step.
 func (b *joinerBolt) handleFlush(flush MigrateFlush, out *engine.Collector) {
-	in, ok := b.inbound[flush.From]
-	if !ok || in.epoch != flush.Epoch || in.aborting {
+	in := b.inbound
+	if in == nil || in.epoch != flush.Epoch || in.aborting {
 		return // stale or duplicated flush
 	}
-	delete(b.inbound, flush.From)
-	b.setFinished(flush.From, flush.Epoch)
+	b.inbound = nil
 	// The target's replay trails the source's commit in the trace: the
 	// source committed the moment its marker set completed, and this event
 	// is causally downstream of its flush.
@@ -935,13 +917,14 @@ func (b *joinerBolt) handleFlush(flush MigrateFlush, out *engine.Collector) {
 	for _, tm := range in.buf {
 		b.replay(tm, out)
 	}
+	b.done = flush.Epoch
 }
 
 // handleRevertMarker collects one dispatcher's revert confirmation at
 // the abort target.
 func (b *joinerBolt) handleRevertMarker(v Marker, out *engine.Collector) {
-	in, ok := b.inbound[v.Origin]
-	if !ok || in.epoch != v.Epoch {
+	in := b.inbound
+	if in == nil || in.epoch != v.Epoch {
 		return // stale marker from an earlier attempt
 	}
 	if in.markers == nil {
@@ -965,13 +948,13 @@ func (b *joinerBolt) handleRevertMarker(v Marker, out *engine.Collector) {
 // the return idempotently, since the original may still be in flight
 // when the source re-asks.
 func (b *joinerBolt) handleAbort(v MigrateAbort, out *engine.Collector) {
-	if in, ok := b.inbound[v.From]; ok && in.epoch == v.Epoch {
+	if in := b.inbound; in != nil && in.epoch == v.Epoch {
 		in.aborting = true
 		b.maybeFinishAbort(in, out)
 		return
 	}
-	if ret, ok := b.lastReturn[v.From]; ok && ret.Epoch == v.Epoch {
-		out.EmitDirect(migStream(b.side), v.From, ret)
+	if b.lastReturn.Epoch == v.Epoch {
+		out.EmitDirect(migStream(b.side), v.From, b.lastReturn)
 	}
 }
 
@@ -990,7 +973,8 @@ func (b *joinerBolt) maybeFinishAbort(in *inboundMig, out *engine.Collector) {
 		tuples = append(tuples, b.store.RemoveKey(k)...)
 	}
 	b.storedGauge().Add(int64(-len(tuples)))
-	ret := MigrateReturn{
+	b.inbound = nil
+	b.lastReturn = MigrateReturn{
 		Side:     b.side,
 		From:     b.ctx.Task,
 		Origin:   in.origin,
@@ -998,23 +982,7 @@ func (b *joinerBolt) maybeFinishAbort(in *inboundMig, out *engine.Collector) {
 		Tuples:   tuples,
 		Buffered: in.buf,
 	}
-	delete(b.inbound, in.origin)
-	b.setFinished(in.origin, in.epoch)
-	if b.lastReturn == nil {
-		b.lastReturn = make(map[int]MigrateReturn)
-	}
-	b.lastReturn[in.origin] = ret
-	out.EmitDirect(migStream(b.side), in.origin, ret)
-}
-
-// setFinished records origin's highest finished epoch at this target.
-func (b *joinerBolt) setFinished(origin int, epoch uint64) {
-	if b.finished == nil {
-		b.finished = make(map[int]uint64)
-	}
-	if b.finished[origin] < epoch {
-		b.finished[origin] = epoch
-	}
+	out.EmitDirect(migStream(b.side), in.origin, b.lastReturn)
 }
 
 // onTick reports load to the monitor, advances the window, and drives
@@ -1054,6 +1022,7 @@ func (b *joinerBolt) onTick(out *engine.Collector) {
 	}
 	out.Emit(loadStream(b.side), LoadReport{
 		Side: b.side,
+		Done: b.done,
 		Load: core.InstanceLoad{
 			Instance: b.ctx.Task,
 			Stored:   int64(b.store.Len()),

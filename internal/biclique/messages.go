@@ -143,10 +143,18 @@ func putPairBatch(b *PairBatch) {
 
 // LoadReport is the periodic statistic a join instance sends to its side's
 // monitor: |R_i| (stored tuples) and φ_si (probe arrivals in the reporting
-// interval plus queued probes).
+// interval plus queued probes). It also carries migration completion:
+// reports go out every tick and the monitor keeps the highest Done it
+// has seen, so a dropped, delayed, or duplicated report only delays the
+// re-arm.
 type LoadReport struct {
 	Side stream.Side
 	Load core.InstanceLoad
+	// Done is the highest decision ID whose last step ran at this
+	// instance: the source's noop, the target's flush replay on commit,
+	// or the source's rollback replay on abort. When it reaches the
+	// in-flight decision, neither end holds state for it any more.
+	Done uint64
 	// SplitKeys is how many keys this instance is currently split-marked
 	// for (active marks only; residual taints of unsplit keys are not
 	// counted). The monitor exports it so /metrics can show where split
@@ -161,8 +169,13 @@ type LoadReport struct {
 // MigrateCmd is the monitor's instruction to the heaviest instance: run the
 // key selection algorithm against the given target and migrate the selected
 // keys. It carries the target's aggregate load, which the selection needs
-// (§III-C).
+// (§III-C). The monitor re-sends the command every tick until the decision
+// completes; the source accepts only an ID above the last one it accepted.
 type MigrateCmd struct {
+	// ID is the monitor's decision ID (core.Decision.ID), monotone per
+	// side. The source uses it as the attempt's epoch, so every epoch of
+	// the migration protocol is side-wide.
+	ID     uint64
 	Side   stream.Side
 	Source core.InstanceLoad
 	Target core.InstanceLoad
@@ -175,9 +188,8 @@ type MigrateCmd struct {
 // MigrateBatch carries the stored tuples of the selected keys from the
 // source instance to the target instance (Algorithm 2 line 10). Keys lists
 // every migrated key, including keys with no stored tuples (probe-only
-// keys whose routing moves without payload). Epoch identifies the
-// migration attempt of the From instance, so stale or duplicated batches
-// are recognized and dropped.
+// keys whose routing moves without payload). Epoch is the attempt's
+// decision ID, so stale or duplicated batches are recognized and dropped.
 type MigrateBatch struct {
 	Side   stream.Side
 	From   int
@@ -202,15 +214,15 @@ type MigrateFlush struct {
 //
 // The update is idempotent and the source re-broadcasts it every stats
 // tick until its marker handshake completes, so dropped, delayed, or
-// duplicated updates all converge: dispatchers order attempts by
-// (Epoch, Revert) per source and ignore anything stale.
+// duplicated updates all converge: dispatchers order a side's updates by
+// (Epoch, Revert) and ignore anything stale.
 type RouteUpdate struct {
 	Side     stream.Side
 	Keys     []stream.Key
 	NewOwner int
-	Source   int // migration source instance (identifies the attempt)
-	// Epoch is the source's migration attempt number; Revert marks the
-	// rollback update of an aborting attempt (same epoch, routing
+	Source   int // migration source instance
+	// Epoch is the attempt's decision ID, unique per side; Revert marks
+	// the rollback update of an aborting attempt (same epoch, routing
 	// restored to the source).
 	Epoch  uint64
 	Revert bool
@@ -371,20 +383,4 @@ type SplitRetire struct {
 	Side stream.Side
 	Key  stream.Key
 	Gen  uint64
-}
-
-// MigrationDone tells the monitor the migration finished, re-arming its
-// trigger. Moved reports how many stored tuples changed instance (or,
-// for an aborted attempt, how many made the round trip back).
-type MigrationDone struct {
-	Side    stream.Side
-	Source  int
-	Target  int
-	Keys    int
-	Moved   int
-	Aborted bool
-	// Epoch identifies the source's attempt for tracing; zero means the
-	// report answers a rejected or self-targeted command that never opened
-	// an attempt (the monitor re-arms but records no trace event).
-	Epoch uint64
 }

@@ -23,6 +23,12 @@ const recordedLICap = 1e4
 // Monitors always run (even for the BiStream baselines) because the
 // evaluation records LI for every system (Fig. 11); only the trigger is
 // gated on Migration.Enabled.
+//
+// The monitor owns its side's single migration. While a decision is in
+// flight it re-sends the decision's command every tick (the source
+// ignores IDs it already accepted), and it re-arms only when a load
+// report's Done reaches the decision's ID — by then neither end holds
+// state for it, so no two migrations of one side ever overlap.
 type monitorBolt struct {
 	cfg  *Config
 	side stream.Side
@@ -35,7 +41,8 @@ type monitorBolt struct {
 	// Imbalance, RecordLoads, and Evaluate all copy what they keep.
 	loadScratch []core.InstanceLoad
 
-	triggeredAt time.Time
+	// cmd is the latest decision's command, re-sent while it is in flight.
+	cmd MigrateCmd
 }
 
 func newMonitorFactory(cfg *Config, side stream.Side, met *SystemMetrics) engine.BoltFactory {
@@ -58,24 +65,18 @@ func (b *monitorBolt) Execute(m engine.Message, out *engine.Collector) {
 		b.latest[v.Load.Instance] = v.Load
 		b.met.RecordSplitReport(b.side, v.Load.Instance, v.SplitKeys)
 		b.met.RecordStoreFootprint(b.side, v.Load.Instance, v.Footprint)
-	case MigrationDone:
-		b.mon.MigrationDone()
-		if v.Epoch != 0 {
-			// Close the trace span from the monitor's side. Best-effort:
-			// MigrationDone rides a droppable control lane, so a span is
-			// complete without this event (the StuckTimeout below re-arms
-			// the trigger if the report never lands).
+		if b.mon.Done(v.Done) {
+			// The in-flight decision finished at both ends: close its
+			// trace span from the monitor's side.
+			c := b.cmd
 			b.cfg.Tracer.Emit(obs.Event{
 				Kind:     obs.KindDone,
-				Span:     obs.NewSpanID(uint8(b.side), v.Source, v.Epoch),
+				Span:     obs.NewSpanID(uint8(b.side), c.Source.Instance, c.ID),
 				Side:     uint8(b.side),
 				Instance: -1,
-				Source:   v.Source,
-				Target:   v.Target,
-				Epoch:    v.Epoch,
-				Keys:     v.Keys,
-				Moved:    v.Moved,
-				Revert:   v.Aborted,
+				Source:   c.Source.Instance,
+				Target:   c.Target.Instance,
+				Epoch:    c.ID,
 			})
 		}
 	default:
@@ -87,6 +88,11 @@ func (b *monitorBolt) Execute(m engine.Message, out *engine.Collector) {
 
 // onTick evaluates the load information table.
 func (b *monitorBolt) onTick(out *engine.Collector) {
+	if b.mon.InFlight() {
+		// Re-sent every tick until a report completes the decision: a
+		// dropped command only delays the attempt.
+		out.EmitDirect(cmdStream(b.side), b.cmd.Source.Instance, b.cmd)
+	}
 	if len(b.latest) < b.cfg.JoinersPerSide {
 		return // not all instances have reported yet
 	}
@@ -110,20 +116,16 @@ func (b *monitorBolt) onTick(out *engine.Collector) {
 	if !b.cfg.Migration.Enabled {
 		return
 	}
-	now := time.Now()
-	if b.mon.InFlight() && now.Sub(b.triggeredAt) > b.cfg.Migration.StuckTimeout {
-		// The source never reported back (it may have failed): re-arm.
-		b.mon.MigrationDone()
-	}
-	if d := b.mon.Evaluate(now, loads); d != nil {
-		b.triggeredAt = now
-		out.EmitDirect(cmdStream(b.side), d.Source.Instance, MigrateCmd{
+	if d := b.mon.Evaluate(time.Now(), loads); d != nil {
+		b.cmd = MigrateCmd{
+			ID:     d.ID,
 			Side:   b.side,
 			Source: d.Source,
 			Target: d.Target,
 			LI:     d.LI,
 			Theta:  b.mon.Policy().Theta,
-		})
+		}
+		out.EmitDirect(cmdStream(b.side), d.Source.Instance, b.cmd)
 	}
 }
 

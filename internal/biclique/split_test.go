@@ -49,18 +49,14 @@ func TestSplitIntentDeferredDuringMigration(t *testing.T) {
 	// Target side: the key is inbound from another instance.
 	b.migrating = false
 	b.migKeys = nil
-	b.inbound = map[int]*inboundMig{1: {
-		origin: 1, epoch: 3, keys: map[stream.Key]bool{k: true},
-	}}
+	b.inbound = &inboundMig{origin: 1, epoch: 3, keys: map[stream.Key]bool{k: true}}
 	b.handleSplitIntent(SplitIntent{Side: stream.R, Key: k, Epoch: 2}, nil)
 	if b.splitTaint[k] {
 		t.Fatal("intent acked while the key was inbound at the target")
 	}
 
 	// A migration of a different key must not block the handshake.
-	b.inbound = map[int]*inboundMig{1: {
-		origin: 1, epoch: 3, keys: map[stream.Key]bool{8: true},
-	}}
+	b.inbound = &inboundMig{origin: 1, epoch: 3, keys: map[stream.Key]bool{8: true}}
 	b.handleSplitIntent(SplitIntent{Side: stream.R, Key: k, Epoch: 3}, engine.NullCollector())
 	if !b.splitTaint[k] {
 		t.Fatal("re-sent intent after the attempt cleared must taint the key")

@@ -82,12 +82,10 @@ func Start(cfg Config) (*System, error) {
 
 	b.AddBolt(CompMonitorR, newMonitorFactory(&cfg, stream.R, met), 1).
 		GlobalCtrl(CompJoinerR, streamLoadR).
-		GlobalCtrl(CompJoinerR, streamDoneR).
 		TickEvery(cfg.StatsInterval)
 
 	b.AddBolt(CompMonitorS, newMonitorFactory(&cfg, stream.S, met), 1).
 		GlobalCtrl(CompJoinerS, streamLoadS).
-		GlobalCtrl(CompJoinerS, streamDoneS).
 		TickEvery(cfg.StatsInterval)
 
 	b.AddBolt(CompSink, newSinkFactory(&cfg, met), 1).

@@ -475,9 +475,6 @@ func TestConfigDefaultsFilled(t *testing.T) {
 	if cfg.Migration.Selector == nil {
 		t.Error("default selector not set")
 	}
-	if cfg.Migration.StuckTimeout == 0 {
-		t.Error("default stuck timeout not set")
-	}
 }
 
 func TestSubgroupSizeClamped(t *testing.T) {
@@ -505,9 +502,6 @@ func TestJoinerCompNames(t *testing.T) {
 	}
 	if cmdStream(stream.R) != streamCmdR || migStream(stream.S) != streamMigS {
 		t.Error("ctrl stream mapping wrong")
-	}
-	if doneStream(stream.R) != streamDoneR {
-		t.Error("done stream mapping wrong")
 	}
 }
 

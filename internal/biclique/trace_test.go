@@ -1,6 +1,7 @@
 package biclique
 
 import (
+	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -8,9 +9,10 @@ import (
 )
 
 // traceSpanCheck validates a settled run's trace: every span complete and
-// correctly ordered per obs.Span.Err, terminal counts matching the
-// migration counters, and no events outside a span. It returns the
-// (commit, rollback) span counts so sweeps can assert coverage.
+// correctly ordered per obs.Span.Err, migrations of one side strictly
+// serial (sideSerialCheck), terminal counts matching the migration
+// counters, and no events outside a span. It returns the (commit,
+// rollback) span counts so sweeps can assert coverage.
 func traceSpanCheck(t *testing.T, sys *System, tr *obs.Tracer) (int64, int64) {
 	t.Helper()
 	if tr.Evicted() != 0 {
@@ -23,6 +25,7 @@ func traceSpanCheck(t *testing.T, sys *System, tr *obs.Tracer) (int64, int64) {
 		}
 	}
 	spans := obs.Spans(events)
+	sideSerialCheck(t, spans)
 	var commits, rollbacks, noops int64
 	for _, s := range spans {
 		if err := s.Err(); err != nil {
@@ -54,6 +57,45 @@ func traceSpanCheck(t *testing.T, sys *System, tr *obs.Tracer) (int64, int64) {
 	t.Logf("trace: %d events, %d spans (%d commit, %d rollback, %d noop)",
 		len(events), len(spans), commits, rollbacks, noops)
 	return commits, rollbacks
+}
+
+// sideSerialCheck asserts one migration per side: epochs are the side's
+// decision IDs, and on each side every event of span d except the
+// monitor's KindDone has a lower Seq than span d+1's KindTrigger — the
+// source, target, and dispatchers are all finished with an attempt
+// before the next one starts.
+func sideSerialCheck(t *testing.T, spans []obs.Span) {
+	t.Helper()
+	var bySide [2][]obs.Span
+	for _, s := range spans {
+		if !s.ID.SplitSpan() {
+			bySide[s.ID.Side()] = append(bySide[s.ID.Side()], s)
+		}
+	}
+	for side, ss := range bySide {
+		sort.Slice(ss, func(i, j int) bool { return ss[i].ID.Epoch() < ss[j].ID.Epoch() })
+		for i := 1; i < len(ss); i++ {
+			prev, next := ss[i-1], ss[i]
+			if prev.ID.Epoch() == next.ID.Epoch() {
+				t.Errorf("side %d: epoch %d has two spans, %v and %v", side, next.ID.Epoch(), prev.ID, next.ID)
+				continue
+			}
+			var trigger uint64
+			for _, ev := range next.Events {
+				if ev.Kind == obs.KindTrigger {
+					trigger = ev.Seq
+					break
+				}
+			}
+			for _, ev := range prev.Events {
+				if ev.Kind != obs.KindDone && ev.Seq > trigger {
+					t.Errorf("side %d: span %v's %v (seq %d) follows span %v's trigger (seq %d)",
+						side, prev.ID, ev.Kind, ev.Seq, next.ID, trigger)
+					break
+				}
+			}
+		}
+	}
 }
 
 func kindsOf(s obs.Span) []obs.Kind {

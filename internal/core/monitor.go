@@ -12,9 +12,9 @@ type MonitorPolicy struct {
 	// is 2.2.
 	Theta float64
 	// Cooldown is the minimum interval between two migration triggers.
-	// The paper notes migrations "can never take place frequently"; the
-	// cooldown keeps a slow migration from being re-triggered while the
-	// previous one is still settling.
+	// The paper notes migrations "can never take place frequently": at
+	// most one decision is in flight (see Done), and the cooldown spaces
+	// the next one from the previous trigger.
 	Cooldown time.Duration
 	// MinStored is the minimum number of stored tuples the heaviest
 	// instance must hold before migration is considered; it suppresses
@@ -60,6 +60,11 @@ func (p MonitorPolicy) withDefaults() MonitorPolicy {
 // selection algorithm locally (§III-C: "The source instance I_{R-i}
 // collects the statistics of the target instance").
 type Decision struct {
+	// ID numbers the monitor's decisions, starting at 1 and increasing
+	// by one per decision. It names the migration attempt end to end:
+	// the source uses it as the attempt's epoch, and completion is
+	// reported back as this ID (see Monitor.Done).
+	ID     uint64
 	Source InstanceLoad
 	Target InstanceLoad
 	// LI is the imbalance degree that triggered the decision.
@@ -67,13 +72,19 @@ type Decision struct {
 }
 
 // Monitor is the decision state machine of one monitoring component. It is
-// fed load snapshots and decides when a migration should start. Monitor is
-// not safe for concurrent use; the owning monitor bolt serializes access.
+// fed load snapshots and decides when a migration should start. It owns its
+// side's single migration: a decision stays in flight until Done reports
+// its ID, and no new decision is made meanwhile. Monitor is not safe for
+// concurrent use; the owning monitor bolt serializes access.
 type Monitor struct {
 	policy MonitorPolicy
 
 	lastTrigger time.Time
-	inFlight    bool
+	// lastID is the ID of the latest decision; done is the highest
+	// decision ID reported finished. A decision is in flight while
+	// done < lastID.
+	lastID uint64
+	done   uint64
 
 	sustained  int
 	lastTarget int
@@ -92,7 +103,7 @@ func (m *Monitor) Policy() MonitorPolicy { return m.policy }
 // Evaluate inspects a load snapshot and returns a migration decision, or
 // nil when balanced, cooling down, or a migration is already in flight.
 func (m *Monitor) Evaluate(now time.Time, loads []InstanceLoad) *Decision {
-	if len(loads) < 2 || m.inFlight {
+	if len(loads) < 2 || m.InFlight() {
 		return nil
 	}
 	li, hi, lo := Imbalance(loads)
@@ -117,16 +128,26 @@ func (m *Monitor) Evaluate(now time.Time, loads []InstanceLoad) *Decision {
 		return nil
 	}
 	m.lastTrigger = now
-	m.inFlight = true
+	m.lastID++
 	m.sustained = 0
 	m.lastTarget = loads[lo].Instance
 	m.protectTil = now.Add(m.policy.TargetProtection)
-	return &Decision{Source: loads[hi], Target: loads[lo], LI: li}
+	return &Decision{ID: m.lastID, Source: loads[hi], Target: loads[lo], LI: li}
 }
 
-// MigrationDone tells the monitor the in-flight migration finished (with or
-// without moving anything), re-arming Evaluate after the cooldown.
-func (m *Monitor) MigrationDone() { m.inFlight = false }
+// Done records that every decision up to id has finished: its last step
+// ran and neither end holds state for it. Reports may arrive late,
+// duplicated, or out of order, so only the highest ID counts, and an ID
+// the monitor never issued is ignored. Done returns true when the call
+// completes the in-flight decision, re-arming Evaluate (after the
+// cooldown).
+func (m *Monitor) Done(id uint64) bool {
+	if id <= m.done || id > m.lastID {
+		return false
+	}
+	m.done = id
+	return id == m.lastID
+}
 
-// InFlight reports whether a triggered migration has not yet completed.
-func (m *Monitor) InFlight() bool { return m.inFlight }
+// InFlight reports whether the latest decision has not yet completed.
+func (m *Monitor) InFlight() bool { return m.done < m.lastID }

@@ -32,6 +32,9 @@ func TestMonitorTriggersOnImbalance(t *testing.T) {
 	if d.LI != 10 {
 		t.Errorf("LI = %f, want 10", d.LI)
 	}
+	if d.ID != 1 {
+		t.Errorf("first decision ID = %d, want 1", d.ID)
+	}
 	if !m.InFlight() {
 		t.Error("monitor should mark migration in flight")
 	}
@@ -47,25 +50,67 @@ func TestMonitorNoTriggerWhenBalanced(t *testing.T) {
 func TestMonitorInFlightSuppression(t *testing.T) {
 	m := NewMonitor(MonitorPolicy{Theta: 2.2, Cooldown: time.Nanosecond, MinStored: 1, SustainTicks: 1})
 	now := time.Now()
-	if m.Evaluate(now, skewedLoads()) == nil {
+	d := m.Evaluate(now, skewedLoads())
+	if d == nil {
 		t.Fatal("first evaluation should trigger")
 	}
 	if d := m.Evaluate(now.Add(time.Hour), skewedLoads()); d != nil {
 		t.Errorf("in-flight migration not suppressed: %+v", d)
 	}
-	m.MigrationDone()
-	if m.Evaluate(now.Add(2*time.Hour), skewedLoads()) == nil {
-		t.Error("after MigrationDone the monitor should trigger again")
+	if !m.Done(d.ID) {
+		t.Error("Done of the in-flight ID should re-arm")
+	}
+	next := m.Evaluate(now.Add(2*time.Hour), skewedLoads())
+	if next == nil {
+		t.Fatal("after Done the monitor should trigger again")
+	}
+	if next.ID != d.ID+1 {
+		t.Errorf("next decision ID = %d, want %d", next.ID, d.ID+1)
+	}
+}
+
+// TestMonitorDoneNeedsInFlightID: only a report that reaches the
+// in-flight decision's ID re-arms the monitor. A late report of an
+// earlier decision, a repeated one, or an ID the monitor never issued
+// leaves the decision in flight.
+func TestMonitorDoneNeedsInFlightID(t *testing.T) {
+	m := NewMonitor(MonitorPolicy{Theta: 2.2, Cooldown: time.Nanosecond, MinStored: 1, SustainTicks: 1})
+	now := time.Now()
+	first := m.Evaluate(now, skewedLoads())
+	if first == nil || !m.Done(first.ID) {
+		t.Fatal("first decision should trigger and complete")
+	}
+	second := m.Evaluate(now.Add(time.Second), skewedLoads())
+	if second == nil {
+		t.Fatal("second evaluation should trigger")
+	}
+	for _, id := range []uint64{0, first.ID, first.ID, second.ID + 1} {
+		if m.Done(id) {
+			t.Errorf("Done(%d) re-armed with decision %d in flight", id, second.ID)
+		}
+		if !m.InFlight() {
+			t.Fatalf("Done(%d) cleared decision %d", id, second.ID)
+		}
+		if d := m.Evaluate(now.Add(time.Hour), skewedLoads()); d != nil {
+			t.Fatalf("Done(%d) let a second decision through: %+v", id, d)
+		}
+	}
+	if !m.Done(second.ID) || m.InFlight() {
+		t.Fatal("Done of the in-flight ID must re-arm")
+	}
+	if m.Done(second.ID) {
+		t.Error("a repeated Done must not report a second re-arm")
 	}
 }
 
 func TestMonitorCooldown(t *testing.T) {
 	m := NewMonitor(MonitorPolicy{Theta: 2.2, Cooldown: time.Minute, MinStored: 1, SustainTicks: 1})
 	now := time.Now()
-	if m.Evaluate(now, skewedLoads()) == nil {
+	d := m.Evaluate(now, skewedLoads())
+	if d == nil {
 		t.Fatal("first evaluation should trigger")
 	}
-	m.MigrationDone()
+	m.Done(d.ID)
 	if d := m.Evaluate(now.Add(time.Second), skewedLoads()); d != nil {
 		t.Errorf("cooldown violated: %+v", d)
 	}
@@ -148,7 +193,7 @@ func TestMonitorTargetProtection(t *testing.T) {
 	if d == nil {
 		t.Fatal("expected initial trigger")
 	}
-	m.MigrationDone()
+	m.Done(d.ID)
 	// Now the previous target (instance 1) reports as the heaviest; it
 	// must be protected from immediately becoming the source.
 	flipped := []InstanceLoad{

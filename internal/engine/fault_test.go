@@ -132,6 +132,7 @@ func TestInjectDelayAbortsOnStop(t *testing.T) {
 type stallOnce struct {
 	mu    sync.Mutex
 	fired bool
+	at    time.Time // when the stall captured its task
 	dur   time.Duration
 }
 
@@ -145,6 +146,7 @@ func (s *stallOnce) fn(_ Context, stream string, _ any) time.Duration {
 		return 0
 	}
 	s.fired = true
+	s.at = time.Now()
 	return s.dur
 }
 
@@ -178,13 +180,14 @@ func TestDrainCompletesAfterStallClears(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitEngaged(t, st)
-	start := time.Now()
 	if err := c.Drain(5 * time.Second); err != nil {
 		c.Stop()
 		t.Fatalf("Drain under a clearing stall: %v", err)
 	}
 	c.Stop()
-	if elapsed := time.Since(start); elapsed < st.dur {
+	// Measured from the moment the stall captured its task: waitEngaged
+	// polls, so a clock read after it returns starts up to a poll late.
+	if elapsed := time.Since(st.at); elapsed < st.dur {
 		t.Errorf("drain returned in %v, before the %v stall cleared", elapsed, st.dur)
 	}
 	if count.Load() == 0 {

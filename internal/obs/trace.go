@@ -79,10 +79,10 @@ const (
 	// KindRollback terminates an aborted span: routing restored, payload
 	// re-installed, buffers replayed in original order.
 	KindRollback
-	// KindDone records the side's monitor observing the MigrationDone
-	// report and re-arming its trigger. It trails the span's terminal
-	// event and is best-effort: the report rides a droppable control
-	// lane, so a span is complete without it.
+	// KindDone records the side's monitor seeing a load report whose
+	// Done reached the span's decision ID and re-arming its trigger: both
+	// ends are clean. It trails the span's terminal event; a span is
+	// complete without it (a run can end before the next report lands).
 	KindDone
 
 	// The split-lifecycle kinds below open a second span family: one span
@@ -176,8 +176,8 @@ type KindRule struct {
 	Terminal bool
 	// Trailing marks the kinds that may still appear after a terminal
 	// event (they are causally downstream of it: the target runs
-	// concurrently with the source's commit, and the monitor's done
-	// report rides a droppable lane).
+	// concurrently with the source's commit, and the monitor re-arms only
+	// after the last step of the attempt).
 	Trailing bool
 }
 

@@ -272,7 +272,7 @@ func (s *sim) onStats() {
 		if s.cfg.Migration {
 			if d := s.monitors[side].Evaluate(vtime(s.now), loads); d != nil {
 				s.migrate(stream.Side(side), d)
-				s.monitors[side].MigrationDone()
+				s.monitors[side].Done(d.ID)
 			}
 		}
 		// Interval stats reset.
