@@ -72,8 +72,8 @@ obs-smoke:
 	./scripts/obs_smoke.sh
 
 ## chaos: the seeded fault-injection sweep under the race detector. Every
-## run must produce the exact brute-force join result or a cleanly
-## reported abort; replay a failure with
+## run must produce the exact brute-force join result; replay a failure
+## with
 ##   go test -race ./internal/biclique -run TestChaosReplay \
 ##     -args -chaos.profile=<p> -chaos.seed=<n>
 chaos:

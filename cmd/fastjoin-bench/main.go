@@ -37,7 +37,7 @@ func main() {
 		csvDir   = flag.String("csv", "", "also write each table as CSV into this directory")
 		jsonOut  = flag.String("json", "", "write all reports plus resolved params as one JSON document")
 
-		chaosProfile = flag.String("chaos", "", "fault drill: chaos profile (none, droponly, delayonly, duponly, mixed, abortstorm)")
+		chaosProfile = flag.String("chaos", "", "fault drill: chaos profile (none, droponly, delayonly, duponly, mixed)")
 		chaosSeed    = flag.Int64("chaos.seed", 1, "chaos injector seed (a drill replays exactly per seed)")
 
 		observe = flag.String("observe", "", "observability endpoint address for every run (e.g. 127.0.0.1:9144; serves /metrics, /stats.json, /trace.json, /debug/pprof)")

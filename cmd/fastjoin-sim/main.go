@@ -38,7 +38,7 @@ func main() {
 		window    = flag.Float64("window", 2, "join window, virtual seconds (0 = full history)")
 		seed      = flag.Int64("seed", 7, "workload/placement seed")
 
-		chaosName = flag.String("chaos", "", "fault drill preset (none, droponly, delayonly, duponly, mixed, abortstorm)")
+		chaosName = flag.String("chaos", "", "fault drill preset (none, droponly, delayonly, duponly, mixed)")
 	)
 	flag.Parse()
 
@@ -76,13 +76,9 @@ func main() {
 		fmt.Fprintln(w, join(cols))
 	}
 	row := func(label string, r *sim.Result) {
-		migs := fmt.Sprint(r.Migrations)
-		if r.MigrationAborts > 0 {
-			migs += fmt.Sprintf("(+%da)", r.MigrationAborts)
-		}
-		fmt.Fprintf(w, "%s\t%.0f\t%.1f\t%.1f\t%.2f\t%s\n",
+		fmt.Fprintf(w, "%s\t%.0f\t%.1f\t%.1f\t%.2f\t%d\n",
 			label, r.MeanThroughput, r.MeanLatencySec*1e3, r.P99LatencySec*1e3,
-			r.SteadyLI, migs)
+			r.SteadyLI, r.Migrations)
 	}
 
 	runOne := func(cfg sim.Config, tR, tS float64) *sim.Result {
@@ -98,8 +94,8 @@ func main() {
 	fmt.Printf("simulated cluster: %d instances/side x %.0f ops/s, offered %.0f tuples/s, %gs virtual\n",
 		*instances, *service, *rate, *duration)
 	if *chaosName != "" && *chaosName != "none" {
-		fmt.Printf("fault drill: chaos preset %q (migration fail p=%.2f, stall p=%.2f/%.0fms)\n",
-			*chaosName, chaosCfg.MigFailProb, chaosCfg.StallProb, chaosCfg.StallSec*1e3)
+		fmt.Printf("fault drill: chaos preset %q (stall p=%.2f/%.0fms)\n",
+			*chaosName, chaosCfg.StallProb, chaosCfg.StallSec*1e3)
 	}
 	fmt.Println()
 

@@ -118,8 +118,7 @@ func ExampleOptions_Validate() {
 	opts := fastjoin.Options{
 		Kind: fastjoin.KindFastJoin,
 		Migration: fastjoin.MigrationOptions{
-			Theta:        2.5,
-			AbortTimeout: 2 * time.Second,
+			Theta: 2.5,
 		},
 		Windowing: fastjoin.WindowOptions{Span: 10 * time.Second},
 		Observe:   fastjoin.ObserveOptions{Addr: ":9144"},

@@ -175,11 +175,10 @@ func New(opts Options) (*System, error) {
 		cfg.Strategy = biclique.StrategyHash
 		cfg.Split = split
 		cfg.Migration = biclique.MigrationConfig{
-			Enabled:      true,
-			Policy:       policy,
-			Selector:     core.GreedyFit,
-			MinBenefit:   opts.Migration.MinBenefit,
-			AbortTimeout: opts.Migration.AbortTimeout,
+			Enabled:    true,
+			Policy:     policy,
+			Selector:   core.GreedyFit,
+			MinBenefit: opts.Migration.MinBenefit,
 		}
 	case KindFastJoinSAFit:
 		cfg.Strategy = biclique.StrategyHash
@@ -187,11 +186,10 @@ func New(opts Options) (*System, error) {
 		sa := core.DefaultSAConfig()
 		sa.Seed = int64(opts.Seed) + 1
 		cfg.Migration = biclique.MigrationConfig{
-			Enabled:      true,
-			Policy:       policy,
-			Selector:     core.SAFitSelector(sa),
-			MinBenefit:   opts.Migration.MinBenefit,
-			AbortTimeout: opts.Migration.AbortTimeout,
+			Enabled:    true,
+			Policy:     policy,
+			Selector:   core.SAFitSelector(sa),
+			MinBenefit: opts.Migration.MinBenefit,
 		}
 	case KindBiStream:
 		cfg.Strategy = biclique.StrategyHash
@@ -325,8 +323,8 @@ func (s *System) ChaosCounts() ChaosCounts {
 	return s.chaos.Counts()
 }
 
-// MigrationsInFlight returns the number of migration handshakes (or
-// rollbacks) that have not yet finished. Fault drills poll it to decide
+// MigrationsInFlight returns the number of migration handshakes that have
+// not yet committed. Fault drills poll it to decide
 // whether an apparently quiescent system still holds tuples parked in
 // migration buffers.
 func (s *System) MigrationsInFlight() int64 { return s.sys.MigrationsInFlight() }
@@ -344,8 +342,9 @@ type Stats struct {
 	Migrations     int64   `json:"migrations"`
 	MigratedKeys   int64   `json:"migrated_keys"`
 	MigratedTuples int64   `json:"migrated_tuples"`
-	// MigrationAborts counts migrations that timed out their marker
-	// handshake and rolled back (non-zero only under faults).
+	// MigrationAborts is always 0: a migration ends only by commit. It
+	// stays for its last reader, the benchmark harness, and goes with it
+	// when the benchmark is next revised (ROADMAP 2(f)).
 	MigrationAborts int64 `json:"migration_aborts,omitempty"`
 	// ReplayedTuples counts tuples re-processed from migration buffers;
 	// they are excluded from the latency percentiles above (their send
@@ -385,9 +384,6 @@ func (st Stats) String() string {
 	s := fmt.Sprintf("%s: results=%d lat(mean)=%.0fµs lat(p99)=%.0fµs stored=%d/%d migrations=%d (keys=%d tuples=%d)",
 		st.System, st.Results, st.LatencyMeanUs, st.LatencyP99Us,
 		st.StoredR, st.StoredS, st.Migrations, st.MigratedKeys, st.MigratedTuples)
-	if st.MigrationAborts > 0 {
-		s += fmt.Sprintf(" aborts=%d", st.MigrationAborts)
-	}
 	if st.KeysSplit > 0 {
 		s += fmt.Sprintf(" splits=%d (active=%d residual=%d retired=%d)", st.KeysSplit, st.SplitKeys, st.ResidualKeys, st.KeysRetired)
 	}
@@ -407,24 +403,23 @@ func (s *System) Stats() Stats {
 		}
 	}
 	return Stats{
-		System:          s.kind.String(),
-		Results:         m.Results.Count(),
-		LatencySamples:  lat.Count,
-		LatencyMeanUs:   lat.Mean / 1e3,
-		LatencyP95Us:    float64(lat.P95) / 1e3,
-		LatencyP99Us:    float64(lat.P99) / 1e3,
-		StoredR:         m.StoredR.Value(),
-		StoredS:         m.StoredS.Value(),
-		Migrations:      m.Migrations.Value(),
-		MigratedKeys:    m.MigratedKeys.Value(),
-		MigratedTuples:  m.MigratedTuples.Value(),
-		MigrationAborts: m.MigrationAborts.Value(),
-		ReplayedTuples:  m.ReplayedTuples.Count(),
-		SplitKeys:       m.SplitKeys.Value(),
-		KeysSplit:       m.KeysSplit.Value(),
-		KeysUnsplit:     m.KeysUnsplit.Value(),
-		ResidualKeys:    m.ResidualKeys.Value(),
-		KeysRetired:     m.KeysRetired.Value(),
+		System:         s.kind.String(),
+		Results:        m.Results.Count(),
+		LatencySamples: lat.Count,
+		LatencyMeanUs:  lat.Mean / 1e3,
+		LatencyP95Us:   float64(lat.P95) / 1e3,
+		LatencyP99Us:   float64(lat.P99) / 1e3,
+		StoredR:        m.StoredR.Value(),
+		StoredS:        m.StoredS.Value(),
+		Migrations:     m.Migrations.Value(),
+		MigratedKeys:   m.MigratedKeys.Value(),
+		MigratedTuples: m.MigratedTuples.Value(),
+		ReplayedTuples: m.ReplayedTuples.Count(),
+		SplitKeys:      m.SplitKeys.Value(),
+		KeysSplit:      m.KeysSplit.Value(),
+		KeysUnsplit:    m.KeysUnsplit.Value(),
+		ResidualKeys:   m.ResidualKeys.Value(),
+		KeysRetired:    m.KeysRetired.Value(),
 
 		StoreReservedBytes: storeReserved,
 		StoreLiveBytes:     storeLive,

@@ -432,9 +432,8 @@ func TestChaosProfileOption(t *testing.T) {
 		Sources:       []TupleSource{finiteSource(20000, 40)},
 		StatsInterval: 10 * time.Millisecond,
 		Migration: MigrationOptions{
-			Theta:        1.2,
-			Cooldown:     30 * time.Millisecond,
-			AbortTimeout: 150 * time.Millisecond,
+			Theta:    1.2,
+			Cooldown: 30 * time.Millisecond,
 		},
 		Chaos: ChaosOptions{Profile: ChaosMixed, Seed: 7},
 	})

@@ -117,9 +117,8 @@ func sysOptions(kind fastjoin.Kind, p Params, joiners int, sources []fastjoin.Tu
 		ServiceRate:   p.ServiceRate,
 		Seed:          uint64(p.Seed),
 		Migration: fastjoin.MigrationOptions{
-			Theta:        p.Theta,
-			Cooldown:     500 * time.Millisecond,
-			AbortTimeout: abortTimeoutFor(p),
+			Theta:    p.Theta,
+			Cooldown: 500 * time.Millisecond,
 		},
 		Chaos: fastjoin.ChaosOptions{
 			Profile: p.ChaosProfile,
@@ -132,17 +131,6 @@ func sysOptions(kind fastjoin.Kind, p Params, joiners int, sources []fastjoin.Tu
 // Resolved returns the parameters with every default filled in, exactly
 // as the experiments see them — what a JSON archive should record.
 func (p Params) Resolved() Params { return p.withDefaults() }
-
-// abortTimeoutFor enables migration abort-and-rollback whenever a bench
-// run injects faults: with markers being dropped, a handshake can stall
-// forever without it. Clean runs keep 0 (abort path disabled) so the
-// baseline numbers are untouched.
-func abortTimeoutFor(p Params) time.Duration {
-	if p.ChaosProfile == fastjoin.ChaosNone {
-		return 0
-	}
-	return 2 * time.Second
-}
 
 // BatchResult is the outcome of one finite run.
 type BatchResult struct {

@@ -8,6 +8,7 @@ import (
 
 	"fastjoin/internal/chaos"
 	"fastjoin/internal/core"
+	"fastjoin/internal/obs"
 	"fastjoin/internal/stream"
 )
 
@@ -26,8 +27,7 @@ var (
 )
 
 // chaosBaseConfig is the shared shape of every chaos run: migration on
-// with an aggressive trigger so the protocol actually exercises, a short
-// abort timeout so stuck handshakes roll back within the test, and a
+// with an aggressive trigger so the protocol actually exercises, and a
 // thinning predicate that keeps the hot keys' quadratic pair count
 // checkable without changing probe volume.
 func chaosBaseConfig(seed uint64) Config {
@@ -42,7 +42,6 @@ func chaosBaseConfig(seed uint64) Config {
 			Cooldown:  15 * time.Millisecond,
 			MinStored: 8,
 		},
-		AbortTimeout: 150 * time.Millisecond,
 	}
 	return cfg
 }
@@ -82,7 +81,7 @@ func waitChaosSettled(t *testing.T, sys *System) {
 // runChaos executes one seeded fault-injected run and checks the
 // differential property: the emitted pair set must equal the brute-force
 // reference exactly — no losses, no duplicates, no spurious pairs — no
-// matter what the profile dropped, delayed, duplicated, or aborted.
+// matter what the profile dropped, delayed, or duplicated.
 func runChaos(t *testing.T, profileName string, seed uint64, nTuples int, mutate ...func(*Config)) *System {
 	t.Helper()
 	profile, err := chaos.Lookup(profileName)
@@ -110,9 +109,8 @@ func runChaos(t *testing.T, profileName string, seed uint64, nTuples int, mutate
 	want := referenceJoin(tuples, cfg.Predicate)
 	got := col.snapshot()
 	counts := cfg.Chaos.Counts()
-	t.Logf("profile=%s seed=%d: %d pairs, faults %+v, migrations=%d aborts=%d",
-		profileName, seed, len(got), counts,
-		sys.Metrics().Migrations.Value(), sys.Metrics().MigrationAborts.Value())
+	t.Logf("profile=%s seed=%d: %d pairs, faults %+v, migrations=%d",
+		cfg.Chaos.Profile().Name, seed, len(got), counts, sys.Metrics().Migrations.Value())
 	assertExactlyOnce(t, want, got)
 	return sys
 }
@@ -199,77 +197,40 @@ func TestChaosReplay(t *testing.T) {
 	runChaos(t, *chaosProfileFlag, *chaosSeedFlag, 3000)
 }
 
-// TestChaosAbortRollback drives the abort path deterministically: the
-// abortstorm profile drops every forward marker, so no handshake can
-// ever complete and every migration attempt must time out, roll back,
-// and replay — while the join stays exact.
-func TestChaosAbortRollback(t *testing.T) {
-	profile, err := chaos.Lookup("abortstorm")
-	if err != nil {
-		t.Fatal(err)
+// TestForwardMarkerOutageCommits drops the first markers of the run —
+// every ack of at least 20 stats ticks of re-broadcast, far longer than
+// any handshake takes — and checks that re-broadcasting the routing
+// update is recovery enough: once the outage ends the handshake commits,
+// the join stays exact, every span ends in commit or noop, and no
+// migration is left in flight.
+func TestForwardMarkerOutageCommits(t *testing.T) {
+	// Each re-broadcast draws one marker per dispatcher task, and both
+	// sides may be migrating at once: 2 markers × 2 sides × 20 ticks.
+	const dropped = 2 * 2 * 20
+	outage := chaos.Profile{
+		Name:  "marker-outage",
+		Rules: []chaos.Rule{{Class: chaos.ClassMarker, Op: chaos.OpDrop, First: 0, Count: dropped}},
 	}
-	tuples := makeWorkload(6000, 30, 0.5, 77)
-	cfg := chaosBaseConfig(7)
-	cfg.Chaos = chaos.NewInjector(profile, 7)
-	// A long cooldown leaves a wide quiet window between abort cycles so
-	// the settle loop can observe the system between attempts.
-	cfg.Migration.Policy.Cooldown = 300 * time.Millisecond
-	cfg.Migration.AbortTimeout = 60 * time.Millisecond
-
-	col := newPairCollector()
-	cfg.EmitResults = true
-	cfg.OnResult = col.add
-	cfg.Sources = []TupleSource{paced(sliceSource(tuples))}
-	sys, err := Start(cfg)
-	if err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	waitChaosSettled(t, sys)
-	sys.Stop()
-
-	met := sys.Metrics()
-	if met.MigrationAborts.Value() == 0 {
-		t.Error("abortstorm run aborted nothing; the rollback path went untested")
-	}
-	if met.Migrations.Value() != 0 {
-		t.Errorf("%d migrations completed with every forward marker dropped",
-			met.Migrations.Value())
-	}
-	assertExactlyOnce(t, referenceJoin(tuples, cfg.Predicate), col.snapshot())
-	for _, ev := range met.MigrationLog() {
-		if !ev.Aborted {
-			t.Errorf("non-aborted migration event under abortstorm: %+v", ev)
+	tr := obs.NewTracer(1 << 16)
+	sys := runChaos(t, "none", 5, 6000, func(c *Config) {
+		c.Chaos = chaos.NewInjector(outage, 5)
+		c.Tracer = tr
+		c.Sources[0] = paced(c.Sources[0])
+	})
+	for _, s := range obs.Spans(tr.Snapshot()) {
+		if k := s.Terminal(); k != obs.KindCommit && k != obs.KindNoop {
+			t.Errorf("span %v ended in %v, want commit or noop", s.ID, k)
 		}
 	}
-}
-
-// TestChaosAbortDisabled checks the AbortTimeout=0 contract: with aborts
-// off and a profile that only delays (never drops) control traffic, a
-// stuck-looking handshake must still complete via retransmits.
-func TestChaosAbortDisabled(t *testing.T) {
-	profile, err := chaos.Lookup("delayonly")
-	if err != nil {
-		t.Fatal(err)
+	if commits := traceSpanCheck(t, sys, tr); commits == 0 {
+		t.Error("no migration committed after the marker outage")
 	}
-	tuples := makeWorkload(4000, 30, 0.5, 33)
-	cfg := chaosBaseConfig(3)
-	cfg.Chaos = chaos.NewInjector(profile, 3)
-	cfg.Migration.AbortTimeout = 0
-
-	col := newPairCollector()
-	cfg.EmitResults = true
-	cfg.OnResult = col.add
-	cfg.Sources = []TupleSource{sliceSource(tuples)}
-	sys, err := Start(cfg)
-	if err != nil {
-		t.Fatalf("Start: %v", err)
+	if n := sys.MigrationsInFlight(); n != 0 {
+		t.Errorf("%d migrations still in flight after the run settled", n)
 	}
-	waitChaosSettled(t, sys)
-	sys.Stop()
-	if sys.Metrics().MigrationAborts.Value() != 0 {
-		t.Errorf("aborts fired with AbortTimeout=0")
+	if got := sys.Config().Chaos.Counts().Dropped; got != dropped {
+		t.Errorf("outage dropped %d markers, want %d: the handshakes ended before it did", got, dropped)
 	}
-	assertExactlyOnce(t, referenceJoin(tuples, cfg.Predicate), col.snapshot())
 }
 
 // TestChaosClassify pins the fault-eligibility matrix: the classifier is
@@ -284,14 +245,11 @@ func TestChaosClassify(t *testing.T) {
 		{ShuffleBatch{}, chaos.ClassData},
 		{&PairBatch{}, chaos.ClassData},
 		{Marker{}, chaos.ClassMarker},
-		{Marker{Revert: true}, chaos.ClassMarkerRevert},
 		{RouteUpdate{}, chaos.ClassRouteUpdate},
 		{MigrateCmd{}, chaos.ClassCommand},
 		{LoadReport{}, chaos.ClassReport},
 		{MigrateBatch{}, chaos.ClassMigData},
 		{MigrateFlush{}, chaos.ClassMigData},
-		{MigrateAbort{}, chaos.ClassMigData},
-		{MigrateReturn{}, chaos.ClassMigData},
 		// Split handshake: marks are un-droppable fences (losing one
 		// leaves an instance un-tainted under multi-copy routing); the
 		// intent/ack legs are retried, so profiles may attack them.

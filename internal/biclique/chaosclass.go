@@ -14,7 +14,7 @@ import (
 //     the exactly-once argument relies on — profiles must keep it clean.
 //     Bare stream.Tuples on the spout→shuffler hop fall to the default,
 //     ClassOther, a class no shipped profile attacks.
-//   - MigrateBatch/Flush/Abort/Return ride FIFO control lanes and carry
+//   - MigrateBatch and MigrateFlush ride FIFO control lanes and carry
 //     stored tuples; losing one loses tuples, so profiles keep them
 //     clean too (duplicates would be tolerated via epoch dedup).
 //   - Markers, routing updates, commands, and reports are the recovery
@@ -22,7 +22,7 @@ import (
 //     reordering them must never lose results — that is what the chaos
 //     suite verifies.
 func ChaosClassify(value any) chaos.Class {
-	switch v := value.(type) {
+	switch value.(type) {
 	case TupleBatch, ShuffleBatch:
 		// Dropping a batch would lose a whole lane segment.
 		return chaos.ClassData
@@ -44,9 +44,6 @@ func ChaosClassify(value any) chaos.Class {
 		// retransmitted — so no profile may touch them.
 		return chaos.ClassData
 	case Marker:
-		if v.Revert {
-			return chaos.ClassMarkerRevert
-		}
 		return chaos.ClassMarker
 	case RouteUpdate:
 		return chaos.ClassRouteUpdate
@@ -67,7 +64,7 @@ func ChaosClassify(value any) chaos.Class {
 		// every stats tick until the retire (or a reheat) lands, and the
 		// dispatcher dedups by (side, instance, generation).
 		return chaos.ClassReport
-	case MigrateBatch, MigrateFlush, MigrateAbort, MigrateReturn:
+	case MigrateBatch, MigrateFlush:
 		return chaos.ClassMigData
 	default:
 		return chaos.ClassOther

@@ -104,14 +104,6 @@ type MigrationConfig struct {
 	Selector core.Selector
 	// MinBenefit is θ_gap for GreedyFit.
 	MinBenefit int64
-	// AbortTimeout bounds how long a migration source waits for the
-	// dispatcher marker handshake before aborting the attempt and rolling
-	// it back (routing restored, batch returned, buffered tuples replayed
-	// in original order). It is measured in stats ticks — rounded to
-	// AbortTimeout/StatsInterval, minimum one tick — so the decision
-	// depends only on delivered messages, never on wall-clock reads.
-	// Zero disables aborts: the source retries the handshake forever.
-	AbortTimeout time.Duration
 }
 
 // SplitConfig controls hot-key splitting: the dispatcher-side heavy-hitter
@@ -215,7 +207,7 @@ type Config struct {
 	Chaos *chaos.Injector
 	// Tracer, when set, receives typed control-plane trace events from the
 	// migration protocol: trigger with LI/Θ, key selection with benefit,
-	// routing fence, marker handshake, replay, commit or abort+rollback.
+	// routing fence, marker handshake, flush, replay and commit.
 	// Only migration-control messages emit events — never per-tuple work —
 	// so tracing is cheap enough to leave on in production.
 	Tracer *obs.Tracer

@@ -126,14 +126,11 @@ type dispatcherBolt struct {
 	split *splitTable
 	ctx   engine.Context
 	buf   []int // reusable probe-target buffer
-	// seq numbers every routed tuple; see TupleMsg.Seq.
-	seq uint64
-	// applied is the ordinal (updateOrd) of the newest routing update
-	// applied per side. Epochs are the side's decision IDs, so a delayed
-	// stale update — a forward update overtaken by its own revert, or a
-	// late copy of an earlier migration's update — cannot rewind the
-	// table. Re-deliveries of the newest update are re-applied
-	// (idempotent) and re-acked, which is what recovers dropped markers.
+	// applied is the epoch of the newest routing update applied per side.
+	// Epochs are the side's decision IDs, so a delayed late copy of an
+	// earlier migration's update cannot rewind the table. Re-deliveries
+	// of the newest update are re-applied (idempotent) and re-acked,
+	// which is what recovers dropped markers.
 	applied [2]uint64
 	// batch is the lane capacity; lanes holds the open batch of each
 	// (side, joiner-task) pair.
@@ -148,16 +145,6 @@ type dispatcherBolt struct {
 type batchLane struct {
 	msgs []TupleMsg
 	fill int // what the last flush carried
-}
-
-// updateOrd totally orders one side's updates: the revert of an epoch
-// supersedes its forward update, and the next epoch supersedes both.
-func updateOrd(u RouteUpdate) uint64 {
-	ord := u.Epoch * 2
-	if u.Revert {
-		ord++
-	}
-	return ord
 }
 
 func newDispatcherBolt(cfg *Config, met *SystemMetrics) engine.BoltFactory {
@@ -181,14 +168,13 @@ func (b *dispatcherBolt) Execute(m engine.Message, out *engine.Collector) {
 			b.routeTuple(v.Tuples[i], out)
 		}
 	case RouteUpdate:
-		ord := updateOrd(v)
-		if ord < b.applied[v.Side] {
+		if v.Epoch < b.applied[v.Side] {
 			return // stale: a newer update of this side already applied
 		}
 		// First sighting of this update (re-deliveries re-apply and re-ack
 		// but are not re-traced).
-		first := ord > b.applied[v.Side]
-		b.applied[v.Side] = ord
+		first := v.Epoch > b.applied[v.Side]
+		b.applied[v.Side] = v.Epoch
 		// Flush every open batch before the marker: the fencing proof needs
 		// the marker to ride behind every tuple this task routed before the
 		// update, including tuples still sitting in a lane's open batch.
@@ -205,28 +191,17 @@ func (b *dispatcherBolt) Execute(m engine.Message, out *engine.Collector) {
 				Target:     v.NewOwner,
 				Epoch:      v.Epoch,
 				Keys:       len(v.Keys),
-				Revert:     v.Revert,
 			})
 		}
-		// The marker rides the data lane to the instance waiting on the
-		// handshake (source for forward updates, target for reverts),
-		// behind every tuple this task routed there before the update —
-		// proof that no stragglers remain.
+		// The marker rides the data lane to the source, behind every tuple
+		// this task routed there before the update — proof that no
+		// stragglers remain.
 		m := Marker{
 			Side:           v.Side,
 			DispatcherTask: b.ctx.Task,
-			Origin:         v.Source,
 			Epoch:          v.Epoch,
-			Revert:         v.Revert,
 		}
-		out.EmitDirect(tupleStream(v.Side), v.MarkerTo, m)
-		if v.Revert && v.Source != v.MarkerTo {
-			// A revert needs a second fence: the source replays the merged
-			// buffers only after ITS lanes are clean too, since the forward
-			// markers that would have fenced them are the very messages
-			// whose loss triggered the abort.
-			out.EmitDirect(tupleStream(v.Side), v.Source, m)
-		}
+		out.EmitDirect(tupleStream(v.Side), v.Source, m)
 	case SplitAck:
 		b.handleSplitAck(v, out)
 	case SplitDrained:
@@ -244,7 +219,6 @@ func (b *dispatcherBolt) Execute(m engine.Message, out *engine.Collector) {
 //lint:hotpath
 func (b *dispatcherBolt) routeTuple(t stream.Tuple, out *engine.Collector) {
 	now := stream.Now()
-	b.seq++
 	ownSide, oppSide := t.Side, t.Side.Opposite()
 
 	if b.split != nil {
@@ -259,13 +233,13 @@ func (b *dispatcherBolt) routeTuple(t stream.Tuple, out *engine.Collector) {
 
 	// Store in the tuple's own group.
 	storeAt := b.router.StoreTarget(ownSide, t.Key)
-	b.emitTuple(ownSide, storeAt, TupleMsg{T: t, Op: OpStore, SentAt: now, Seq: b.seq}, out)
+	b.emitTuple(ownSide, storeAt, TupleMsg{T: t, Op: OpStore, SentAt: now}, out)
 
 	// Probe the opposite group: the tuple joins against the other stream's
 	// stored tuples, then is discarded there.
 	b.buf = b.router.ProbeTargets(oppSide, t.Key, b.buf[:0])
 	for _, target := range b.buf {
-		b.emitTuple(oppSide, target, TupleMsg{T: t, Op: OpProbe, SentAt: now, Seq: b.seq}, out)
+		b.emitTuple(oppSide, target, TupleMsg{T: t, Op: OpProbe, SentAt: now}, out)
 	}
 }
 

@@ -2,7 +2,6 @@ package biclique
 
 import (
 	"slices"
-	"sort"
 	"time"
 
 	"fastjoin/internal/core"
@@ -78,25 +77,18 @@ type joinerBolt struct {
 	// markerSet collects the distinct dispatcher tasks that acked the
 	// current update (faults can drop or duplicate markers, so a plain
 	// countdown would miscount). The current update is re-broadcast every
-	// stats tick until the handshake completes, and — when AbortTimeout
-	// is configured — a handshake stuck past it flips the attempt into
-	// the abort/rollback protocol.
-	migrating  bool
-	aborting   bool
-	migEpoch   uint64
-	migKeys    map[stream.Key]bool
-	migTarget  int
-	migMoved   int
-	migLI      float64
-	migUpdate  RouteUpdate
-	markerSet  map[int]bool
-	migTicks   int
-	abortTicks int
-	tempQueue  []TupleMsg
-	// pendingReturn holds the target's rollback payload until this
-	// instance's own revert-marker set completes: only then are its lanes
-	// provably free of pre-update stragglers and the replay safe.
-	pendingReturn *MigrateReturn
+	// stats tick until the handshake completes: that is the recovery for
+	// lost, delayed and duplicated control traffic, and a migration ends
+	// only by commit.
+	migrating bool
+	migEpoch  uint64
+	migKeys   map[stream.Key]bool
+	migTarget int
+	migMoved  int
+	migLI     float64
+	migUpdate RouteUpdate
+	markerSet map[int]bool
+	tempQueue []TupleMsg
 
 	// Hot-key splitting state. splitTaint holds every key this instance
 	// has acked a SplitIntent for or received a SplitMark for; tainted
@@ -121,14 +113,12 @@ type joinerBolt struct {
 
 	// Migration target state. The side's monitor runs one migration at a
 	// time, so an instance is the target of at most one attempt: inbound
-	// holds its keys whose batch arrived but whose flush (or abort
-	// return) is still pending, plus the buffered directly-routed tuples.
-	// installed is the highest epoch whose batch this instance took, so a
-	// duplicated batch is dropped; lastReturn re-sends the rollback
-	// payload when a duplicate abort arrives after the fact.
-	inbound    *inboundMig
-	installed  uint64
-	lastReturn MigrateReturn
+	// holds its keys whose batch arrived but whose flush is still
+	// pending, plus the buffered directly-routed tuples. installed is the
+	// highest epoch whose batch this instance took, so a duplicated batch
+	// is dropped.
+	inbound   *inboundMig
+	installed uint64
 
 	// done is the highest decision ID whose last step ran here (see
 	// LoadReport.Done); every load report carries it.
@@ -150,12 +140,9 @@ type residualDrain struct {
 
 // inboundMig tracks one in-flight inbound migration at its target.
 type inboundMig struct {
-	origin   int
-	epoch    uint64
-	keys     map[stream.Key]bool
-	buf      []TupleMsg
-	aborting bool
-	markers  map[int]bool // distinct dispatcher tasks whose revert marker arrived
+	epoch uint64
+	keys  map[stream.Key]bool
+	buf   []TupleMsg
 }
 
 func newJoinerFactory(cfg *Config, side stream.Side, met *SystemMetrics) engine.BoltFactory {
@@ -175,14 +162,6 @@ func (b *joinerBolt) Prepare(ctx engine.Context, _ *engine.Collector) {
 	b.splitResidual = make(map[stream.Key]*residualDrain)
 	b.runFn = b.emitRun
 	b.opsSince = time.Now()
-	if t := b.cfg.Migration.AbortTimeout; t > 0 {
-		// The timeout is measured in stats ticks so the decision is made
-		// from delivered messages, not wall-clock reads.
-		b.abortTicks = int(t / b.cfg.StatsInterval)
-		if b.abortTicks < 1 {
-			b.abortTicks = 1
-		}
-	}
 }
 
 // probeBaseCost is the virtual op cost of the probe's hash lookup itself,
@@ -242,10 +221,6 @@ func (b *joinerBolt) Execute(m engine.Message, out *engine.Collector) {
 		b.installBatch(v)
 	case MigrateFlush:
 		b.handleFlush(v, out)
-	case MigrateAbort:
-		b.handleAbort(v, out)
-	case MigrateReturn:
-		b.handleReturn(v, out)
 	case SplitIntent:
 		b.handleSplitIntent(v, out)
 	case SplitMark:
@@ -286,8 +261,8 @@ func (b *joinerBolt) handleBatch(batch TupleBatch, out *engine.Collector) {
 	}
 }
 
-// replay re-processes one buffered tuple after a migration flush or
-// rollback, isolating panics per tuple: the engine isolates panics per
+// replay re-processes one buffered tuple after a migration flush,
+// isolating panics per tuple: the engine isolates panics per
 // delivered message, but a replay processes a whole buffer inside one
 // delivery, and without the guard a single poisoned tuple (e.g. a user
 // predicate failure) would throw away every tuple queued behind it.
@@ -472,7 +447,7 @@ func (b *joinerBolt) trace(source int, ev obs.Event) {
 // temporary queue, or as a target with the key inbound — which is what
 // orders a split strictly after a racing migration's fence: the
 // dispatcher re-sends the intent every detector epoch, so the handshake
-// resumes once the attempt commits or rolls back. Acking taints the key
+// resumes once the attempt commits. Acking taints the key
 // (see splitTaint) before permission ever reaches the dispatcher, so by
 // the time salted routing can start, no future selection here can pick
 // the key up again.
@@ -583,7 +558,7 @@ func (b *joinerBolt) startMigration(cmd MigrateCmd, out *engine.Collector) {
 		Keys:       b.keyStats(cmd.Source.Probe),
 		MinBenefit: b.cfg.Migration.MinBenefit,
 	}
-	selected := b.cfg.Migration.Selector(input)
+	selected, fault := b.selectKeys(input)
 	if b.cfg.Tracer != nil {
 		// TotalBenefit re-scans the key stats; skip it when nobody listens.
 		b.trace(b.ctx.Task, obs.Event{
@@ -602,6 +577,9 @@ func (b *joinerBolt) startMigration(cmd MigrateCmd, out *engine.Collector) {
 			LI:     cmd.LI,
 		})
 		b.done = b.migEpoch
+		if fault != nil {
+			panic(fault) //lint:allow panicpath re-raise of a selector panic once its attempt has ended, preserving the engine's per-task panic accounting
+		}
 		return
 	}
 
@@ -613,11 +591,9 @@ func (b *joinerBolt) startMigration(cmd MigrateCmd, out *engine.Collector) {
 	b.storedGauge().Add(int64(-len(batch.Tuples)))
 
 	b.migrating = true
-	b.aborting = false
 	b.migTarget = cmd.Target.Instance
 	b.migMoved = len(batch.Tuples)
 	b.migLI = cmd.LI
-	b.migTicks = 0
 	b.markerSet = make(map[int]bool, b.cfg.Dispatchers)
 	b.migKeys = make(map[stream.Key]bool, len(selected))
 	for _, k := range selected {
@@ -639,7 +615,6 @@ func (b *joinerBolt) startMigration(cmd MigrateCmd, out *engine.Collector) {
 		NewOwner: b.migTarget,
 		Source:   b.ctx.Task,
 		Epoch:    b.migEpoch,
-		MarkerTo: b.ctx.Task,
 	}
 	// Trace before the broadcast: the dispatchers' RouteApplied events must
 	// sort after the fence in the tracer's total order.
@@ -653,19 +628,24 @@ func (b *joinerBolt) startMigration(cmd MigrateCmd, out *engine.Collector) {
 	out.Emit(streamRouteUpd, b.migUpdate)
 }
 
-// handleMarker routes a dispatcher marker to its role: forward markers
-// complete this instance's own outbound migration; revert markers feed
-// an inbound migration this instance is rolling back as the target.
-func (b *joinerBolt) handleMarker(v Marker, out *engine.Collector) {
-	if v.Revert {
-		if v.Origin == b.ctx.Task {
-			b.handleSourceRevertMarker(v, out)
-		} else {
-			b.handleRevertMarker(v, out)
+// selectKeys runs the Selector under a panic guard. The command's ID is
+// already adopted, so the monitor's re-sends are ignored: a panic that
+// unwound startMigration would leave the side waiting for a decision no
+// instance runs. A panicking selector selects nothing instead, and the
+// caller ends the attempt as a noop before re-raising the panic.
+func (b *joinerBolt) selectKeys(input core.SelectInput) (selected []stream.Key, fault any) {
+	defer func() {
+		if fault = recover(); fault != nil {
+			selected = nil
 		}
-		return
-	}
-	if !b.migrating || b.aborting || v.Origin != b.ctx.Task || v.Epoch != b.migEpoch {
+	}()
+	return b.cfg.Migration.Selector(input), nil
+}
+
+// handleMarker collects one dispatcher's marker for this instance's own
+// outbound migration and commits it once every dispatcher task has acked.
+func (b *joinerBolt) handleMarker(v Marker, out *engine.Collector) {
+	if !b.migrating || v.Epoch != b.migEpoch {
 		return // stale or duplicated marker from an earlier attempt
 	}
 	if !b.markerSet[v.DispatcherTask] {
@@ -706,157 +686,34 @@ func (b *joinerBolt) handleMarker(v Marker, out *engine.Collector) {
 		Moved:  moved,
 		LI:     b.migLI,
 	})
-	b.recordMigration(target, keys, moved, false)
+	b.recordMigration(target, keys, moved)
 	b.clearSourceState()
 }
 
 // clearSourceState ends this instance's outbound migration attempt.
 func (b *joinerBolt) clearSourceState() {
 	b.migrating = false
-	b.aborting = false
 	b.migKeys = nil
 	b.tempQueue = nil
 	b.migMoved = 0
-	b.migTicks = 0
 	b.markerSet = nil
-	b.pendingReturn = nil
 	b.met.MigrationsInFlight.Add(-1)
 }
 
-// beginAbort flips a stuck attempt into rollback: routing reverts to
-// this instance, and the dispatchers' revert markers now flow to the
-// target, which will return the batch and everything it buffered.
-func (b *joinerBolt) beginAbort() {
-	b.aborting = true
-	b.migTicks = 0
-	// Traced before onTick broadcasts the revert update, so the revert
-	// RouteApplied / RevertMarker events sort after the abort.
-	b.trace(b.ctx.Task, obs.Event{
-		Kind:   obs.KindAbort,
-		Epoch:  b.migEpoch,
-		Target: b.migTarget,
-	})
-	// markerSet restarts: it now collects revert markers, this instance's
-	// own delivery fence for the rollback replay.
-	b.markerSet = make(map[int]bool, b.cfg.Dispatchers)
-	b.migUpdate = RouteUpdate{
-		Side:     b.side,
-		Keys:     b.migUpdate.Keys,
-		NewOwner: b.ctx.Task,
-		Source:   b.ctx.Task,
-		Epoch:    b.migEpoch,
-		Revert:   true,
-		MarkerTo: b.migTarget,
-	}
-}
-
-// handleSourceRevertMarker collects one dispatcher's revert confirmation
-// at the aborting source. The set fences this instance's own data lanes:
-// pre-forward-update tuples can still be in flight here (the forward
-// markers that would have proven otherwise were lost — that is why the
-// attempt aborted), and each revert marker arrives behind them.
-func (b *joinerBolt) handleSourceRevertMarker(v Marker, out *engine.Collector) {
-	if !b.migrating || !b.aborting || v.Epoch != b.migEpoch {
-		return // stale marker from an earlier attempt
-	}
-	if !b.markerSet[v.DispatcherTask] {
-		b.markerSet[v.DispatcherTask] = true
-		b.trace(b.ctx.Task, obs.Event{
-			Kind:       obs.KindRevertMarker,
-			Epoch:      b.migEpoch,
-			Target:     b.migTarget,
-			Dispatcher: v.DispatcherTask,
-		})
-	}
-	b.tryFinishSourceAbort(out)
-}
-
-// handleReturn receives the target's rollback payload at the source; the
-// replay itself waits until the revert-marker fence is complete.
-func (b *joinerBolt) handleReturn(v MigrateReturn, out *engine.Collector) {
-	if !b.migrating || !b.aborting || v.Origin != b.ctx.Task || v.Epoch != b.migEpoch {
-		return // duplicate return of an attempt already rolled back
-	}
-	if b.pendingReturn == nil {
-		b.trace(b.ctx.Task, obs.Event{
-			Kind:   obs.KindReturn,
-			Epoch:  b.migEpoch,
-			Target: v.From,
-			Moved:  len(v.Tuples) + len(v.Buffered),
-		})
-	}
-	b.pendingReturn = &v
-	b.tryFinishSourceAbort(out)
-}
-
-// tryFinishSourceAbort completes the rollback once both conditions hold:
-// the target returned its payload, and revert markers from every
-// dispatcher task arrived here. Then every pre-update tuple is in the
-// temporary queue, every tuple that reached the target is in the
-// returned buffer, and the two merge by Seq back into exactly the
-// original per-key arrival order — tuples held here bracket the tuples
-// that reached the target (before the forward update and after the
-// revert), so plain concatenation would interleave wrongly.
-func (b *joinerBolt) tryFinishSourceAbort(out *engine.Collector) {
-	if b.pendingReturn == nil || len(b.markerSet) < b.cfg.Dispatchers {
-		return
-	}
-	ret := b.pendingReturn
-	b.store.AddBulk(ret.Tuples)
-	b.storedGauge().Add(int64(len(ret.Tuples)))
-	b.consume(float64(len(ret.Tuples)))
-
-	merged := make([]TupleMsg, 0, len(b.tempQueue)+len(ret.Buffered))
-	merged = append(append(merged, b.tempQueue...), ret.Buffered...)
-	sort.SliceStable(merged, func(i, j int) bool { return merged[i].Seq < merged[j].Seq })
-
-	keys := len(b.migKeys)
-	target, moved := b.migTarget, b.migMoved
-	epoch := b.migEpoch
-	b.trace(b.ctx.Task, obs.Event{
-		Kind:   obs.KindReplay,
-		Epoch:  epoch,
+// recordMigration counts a committed attempt in the system metrics and
+// the migration log, at the source.
+func (b *joinerBolt) recordMigration(target, keys, moved int) {
+	b.met.Migrations.Inc()
+	b.met.MigratedKeys.Add(int64(keys))
+	b.met.MigratedTuples.Add(int64(moved))
+	b.met.RecordMigration(MigrationEvent{
+		At:     stream.Now(),
+		Side:   b.side,
+		Source: b.ctx.Task,
 		Target: target,
-		Moved:  len(merged),
-	})
-	// Clear the migration before replaying so the tuples are processed
-	// instead of re-buffered.
-	b.clearSourceState()
-	for _, tm := range merged {
-		b.replay(tm, out)
-	}
-	b.trace(b.ctx.Task, obs.Event{
-		Kind:   obs.KindRollback,
-		Epoch:  epoch,
-		Target: target,
+		LI:     b.migLI,
 		Keys:   keys,
 		Moved:  moved,
-		LI:     b.migLI,
-	})
-	b.recordMigration(target, keys, moved, true)
-	// The rollback replay is the aborted attempt's last step.
-	b.done = epoch
-}
-
-// recordMigration counts a committed or rolled-back attempt in the
-// system metrics and the migration log, at the source.
-func (b *joinerBolt) recordMigration(target, keys, moved int, aborted bool) {
-	if aborted {
-		b.met.MigrationAborts.Inc()
-	} else {
-		b.met.Migrations.Inc()
-		b.met.MigratedKeys.Add(int64(keys))
-		b.met.MigratedTuples.Add(int64(moved))
-	}
-	b.met.RecordMigration(MigrationEvent{
-		At:      stream.Now(),
-		Side:    b.side,
-		Source:  b.ctx.Task,
-		Target:  target,
-		LI:      b.migLI,
-		Keys:    keys,
-		Moved:   moved,
-		Aborted: aborted,
 	})
 }
 
@@ -872,9 +729,8 @@ func (b *joinerBolt) installBatch(batch MigrateBatch) {
 	}
 	b.installed = batch.Epoch
 	in := &inboundMig{
-		origin: batch.From,
-		epoch:  batch.Epoch,
-		keys:   make(map[stream.Key]bool, len(batch.Keys)),
+		epoch: batch.Epoch,
+		keys:  make(map[stream.Key]bool, len(batch.Keys)),
 	}
 	for _, k := range batch.Keys {
 		in.keys[k] = true
@@ -898,7 +754,7 @@ func (b *joinerBolt) installBatch(batch MigrateBatch) {
 // The replay is the committed attempt's last step.
 func (b *joinerBolt) handleFlush(flush MigrateFlush, out *engine.Collector) {
 	in := b.inbound
-	if in == nil || in.epoch != flush.Epoch || in.aborting {
+	if in == nil || in.epoch != flush.Epoch {
 		return // stale or duplicated flush
 	}
 	b.inbound = nil
@@ -920,89 +776,12 @@ func (b *joinerBolt) handleFlush(flush MigrateFlush, out *engine.Collector) {
 	b.done = flush.Epoch
 }
 
-// handleRevertMarker collects one dispatcher's revert confirmation at
-// the abort target.
-func (b *joinerBolt) handleRevertMarker(v Marker, out *engine.Collector) {
-	in := b.inbound
-	if in == nil || in.epoch != v.Epoch {
-		return // stale marker from an earlier attempt
-	}
-	if in.markers == nil {
-		in.markers = make(map[int]bool, b.cfg.Dispatchers)
-	}
-	if !in.markers[v.DispatcherTask] {
-		in.markers[v.DispatcherTask] = true
-		b.trace(in.origin, obs.Event{
-			Kind:       obs.KindRevertMarker,
-			Epoch:      in.epoch,
-			Target:     b.ctx.Task,
-			Dispatcher: v.DispatcherTask,
-		})
-	}
-	b.maybeFinishAbort(in, out)
-}
-
-// handleAbort is the target-side entry of the rollback: mark the inbound
-// attempt as aborting (the revert markers may already be trickling in),
-// or — for a duplicate abort of an attempt already rolled back — re-send
-// the return idempotently, since the original may still be in flight
-// when the source re-asks.
-func (b *joinerBolt) handleAbort(v MigrateAbort, out *engine.Collector) {
-	if in := b.inbound; in != nil && in.epoch == v.Epoch {
-		in.aborting = true
-		b.maybeFinishAbort(in, out)
-		return
-	}
-	if b.lastReturn.Epoch == v.Epoch {
-		out.EmitDirect(migStream(b.side), v.From, b.lastReturn)
-	}
-}
-
-// maybeFinishAbort completes the rollback once revert markers from every
-// dispatcher task have arrived: by then every directly-routed tuple of
-// the migrated keys that will ever reach this instance is in the buffer,
-// and — because all of them were buffered, never applied — the store's
-// content for those keys is exactly the installed batch. Both go back to
-// the source.
-func (b *joinerBolt) maybeFinishAbort(in *inboundMig, out *engine.Collector) {
-	if !in.aborting || len(in.markers) < b.cfg.Dispatchers {
-		return
-	}
-	var tuples []stream.Tuple
-	for k := range in.keys {
-		tuples = append(tuples, b.store.RemoveKey(k)...)
-	}
-	b.storedGauge().Add(int64(-len(tuples)))
-	b.inbound = nil
-	b.lastReturn = MigrateReturn{
-		Side:     b.side,
-		From:     b.ctx.Task,
-		Origin:   in.origin,
-		Epoch:    in.epoch,
-		Tuples:   tuples,
-		Buffered: in.buf,
-	}
-	out.EmitDirect(migStream(b.side), in.origin, b.lastReturn)
-}
-
 // onTick reports load to the monitor, advances the window, and drives
 // the migration handshake: the current routing update is re-broadcast
-// until it completes (recovering dropped updates and markers), and a
-// handshake stuck past AbortTimeout flips into the rollback protocol.
+// until it completes, recovering dropped updates and markers.
 func (b *joinerBolt) onTick(out *engine.Collector) {
 	if b.migrating {
-		b.migTicks++
-		if !b.aborting && b.abortTicks > 0 && b.migTicks > b.abortTicks {
-			b.beginAbort()
-		}
 		out.Emit(streamRouteUpd, b.migUpdate)
-		if b.aborting {
-			out.EmitDirect(migStream(b.side), b.migTarget, MigrateAbort{
-				Side:  b.side,
-				From:  b.ctx.Task,
-				Epoch: b.migEpoch,
-			})
-		}
 	}
 	if b.store.Windowed() {
 		removed := b.store.Advance(stream.Now())

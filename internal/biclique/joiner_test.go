@@ -132,10 +132,10 @@ func TestConsumePacesAtServiceRate(t *testing.T) {
 // its own wall-time. Replays must be metered separately instead.
 func TestReplayedTuplesSkipLatencyHistogram(t *testing.T) {
 	b := newTestJoiner(t, Config{})
-	b.handleTuple(TupleMsg{T: stream.Tuple{Side: stream.R, Key: 5, Seq: 1}, Op: OpStore, SentAt: stream.Now(), Seq: 1}, nil)
+	b.handleTuple(TupleMsg{T: stream.Tuple{Side: stream.R, Key: 5, Seq: 1}, Op: OpStore, SentAt: stream.Now()}, nil)
 
 	// A fresh probe lands in the histogram.
-	b.handleTuple(TupleMsg{T: stream.Tuple{Side: stream.S, Key: 5, Seq: 1}, Op: OpProbe, SentAt: stream.Now(), Seq: 2}, nil)
+	b.handleTuple(TupleMsg{T: stream.Tuple{Side: stream.S, Key: 5, Seq: 1}, Op: OpProbe, SentAt: stream.Now()}, nil)
 	if got := b.met.Latency.Count(); got != 1 {
 		t.Fatalf("fresh probe: latency samples = %d, want 1", got)
 	}
@@ -145,7 +145,7 @@ func TestReplayedTuplesSkipLatencyHistogram(t *testing.T) {
 	stale := stream.Now() - int64(10*time.Second)
 	b.installBatch(MigrateBatch{Side: stream.R, From: 1, Epoch: 1, Keys: []stream.Key{9}})
 	b.handleFlush(MigrateFlush{Side: stream.R, From: 1, Epoch: 1, Queued: []TupleMsg{
-		{T: stream.Tuple{Side: stream.S, Key: 5, Seq: 2}, Op: OpProbe, SentAt: stale, Seq: 3},
+		{T: stream.Tuple{Side: stream.S, Key: 5, Seq: 2}, Op: OpProbe, SentAt: stale},
 	}}, nil)
 
 	if got := b.met.Latency.Count(); got != 1 {

@@ -2,6 +2,7 @@ package biclique
 
 import (
 	"testing"
+	"unsafe"
 
 	"fastjoin/internal/engine"
 	"fastjoin/internal/stream"
@@ -70,5 +71,13 @@ func TestLaneCapFollowsLastFill(t *testing.T) {
 		if got := laneCap(fill, 1); got != 1 {
 			t.Errorf("laneCap(%d, 1) = %d, want 1", fill, got)
 		}
+	}
+}
+
+// TestTupleMsgSize pins the routed-tuple layout: every tuple is copied
+// into a lane as a TupleMsg, so the message stays one 64-byte cache line.
+func TestTupleMsgSize(t *testing.T) {
+	if got := unsafe.Sizeof(TupleMsg{}); got != 64 {
+		t.Errorf("unsafe.Sizeof(TupleMsg{}) = %d, want 64", got)
 	}
 }

@@ -40,20 +40,12 @@ func (o Op) String() string {
 // (queueing + service), the paper's latency metric.
 type TupleMsg struct {
 	T      stream.Tuple
-	Op     Op
 	SentAt int64 // unix nanoseconds, stamped by the dispatcher
-	// Seq is a per-dispatcher-task monotone counter. All traffic of one
-	// key flows through a single dispatcher task, so for any key the Seq
-	// order IS the arrival order — which lets an aborted migration merge
-	// the source's temporary queue with the target's returned buffer back
-	// into original per-key order (the two can interleave: tuples held at
-	// the source before the routing update and again after the revert
-	// bracket the tuples that reached the target in between).
-	Seq uint64
+	Op     Op
 	// Replayed marks a tuple re-processed from a migration buffer (the
-	// source's temporary queue, the target's inbound buffer, or an abort
-	// rollback). Its SentAt is stale by the whole migration handshake, so
-	// the latency histogram skips it; ReplayedTuples counts it instead.
+	// source's temporary queue or the target's inbound buffer). Its SentAt
+	// is stale by the whole migration handshake, so the latency histogram
+	// skips it; ReplayedTuples counts it instead.
 	Replayed bool
 }
 
@@ -63,8 +55,8 @@ type TupleMsg struct {
 // group. The dispatcher accumulates per-lane batches (Config.BatchSize /
 // BatchLinger) and the joiner unpacks them tuple by tuple through
 // handleTuple, so the batch size sets message granularity only — per-lane
-// FIFO order, Seq numbering, and therefore the migration fencing proof do
-// not depend on it. Any open batch is flushed before a Marker is emitted,
+// FIFO order, and therefore the migration fencing proof, do not depend on
+// it. Any open batch is flushed before a Marker is emitted,
 // so a marker rides behind every earlier tuple of its lane.
 type TupleBatch struct {
 	Msgs []TupleMsg
@@ -151,9 +143,9 @@ type LoadReport struct {
 	Side stream.Side
 	Load core.InstanceLoad
 	// Done is the highest decision ID whose last step ran at this
-	// instance: the source's noop, the target's flush replay on commit,
-	// or the source's rollback replay on abort. When it reaches the
-	// in-flight decision, neither end holds state for it any more.
+	// instance: the source's noop, or the target's flush replay on
+	// commit. When it reaches the in-flight decision, neither end holds
+	// state for it any more.
 	Done uint64
 	// SplitKeys is how many keys this instance is currently split-marked
 	// for (active marks only; residual taints of unsplit keys are not
@@ -215,69 +207,32 @@ type MigrateFlush struct {
 // The update is idempotent and the source re-broadcasts it every stats
 // tick until its marker handshake completes, so dropped, delayed, or
 // duplicated updates all converge: dispatchers order a side's updates by
-// (Epoch, Revert) and ignore anything stale.
+// Epoch and ignore anything stale. The re-broadcast is the handshake's
+// only recovery; a migration ends only by commit.
 type RouteUpdate struct {
 	Side     stream.Side
 	Keys     []stream.Key
 	NewOwner int
 	Source   int // migration source instance
-	// Epoch is the attempt's decision ID, unique per side; Revert marks
-	// the rollback update of an aborting attempt (same epoch, routing
-	// restored to the source).
-	Epoch  uint64
-	Revert bool
-	// MarkerTo is the join instance the dispatchers must send their
-	// markers to: the source for a forward update (it waits to flush its
-	// temporary queue), the target for a revert (it waits to return the
-	// batch and its buffer).
-	MarkerTo int
-}
-
-// Marker is a dispatcher task's confirmation that it applied a RouteUpdate.
-// Unlike a plain ack it travels on the *data* lane to the instance named
-// by the update's MarkerTo, behind every tuple that task routed there
-// before the update — so when that instance has collected markers from
-// all dispatcher tasks (a distinct set, since faults can duplicate
-// markers), it has provably seen every tuple of the migrated keys that
-// will ever reach it. The source uses forward markers to flush its
-// temporary queue. A revert update fences BOTH ends: dispatchers send
-// revert markers to the target (which then returns the batch and its
-// buffer) and to the source, which replays the merged buffers only once
-// its own lanes are clean — the forward markers that would have fenced
-// them are the very messages whose loss triggered the abort. This
-// refines the paper's Algorithm 2 notification handshake to stay
-// exactly-once under parallel dispatchers and lossy control lanes.
-type Marker struct {
-	Side           stream.Side
-	DispatcherTask int
-	Origin         int // migration source instance
-	Epoch          uint64
-	Revert         bool
-}
-
-// MigrateAbort tells the migration target that the source has given up
-// on the marker handshake and is rolling back: the target must collect
-// revert markers from every dispatcher, then send everything it holds
-// for the attempt back in a MigrateReturn. Re-sent every stats tick
-// until the return arrives; the target answers duplicates idempotently.
-type MigrateAbort struct {
-	Side  stream.Side
-	From  int // migration source instance
+	// Epoch is the attempt's decision ID, unique per side.
 	Epoch uint64
 }
 
-// MigrateReturn is the abort rollback payload: the stored tuples the
-// target installed from the batch plus every directly-routed tuple it
-// buffered while the migration was in flight. The source re-installs the
-// tuples and replays its temporary queue merged with Buffered in Seq
-// order, restoring per-key FIFO as if the migration never happened.
-type MigrateReturn struct {
-	Side     stream.Side
-	From     int // target instance sending the return
-	Origin   int // migration source instance
-	Epoch    uint64
-	Tuples   []stream.Tuple
-	Buffered []TupleMsg
+// Marker is a dispatcher task's confirmation that it applied a RouteUpdate.
+// Unlike a plain ack it travels on the *data* lane to the migration
+// source, behind every tuple that task routed there before the update —
+// so when the source has collected markers from all dispatcher tasks (a
+// distinct set, since faults can duplicate markers), it has provably seen
+// every tuple of the migrated keys that will ever reach it, and flushes
+// its temporary queue. This refines the paper's Algorithm 2 notification
+// handshake to stay exactly-once under parallel dispatchers and lossy
+// control lanes.
+type Marker struct {
+	Side           stream.Side
+	DispatcherTask int
+	// Epoch is the attempt's decision ID. Only the attempt's source
+	// receives its markers, so the epoch alone names the attempt.
+	Epoch uint64
 }
 
 // SplitIntent opens the hot-key splitting handshake: a dispatcher task

@@ -1,6 +1,7 @@
 package biclique
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,8 +22,8 @@ func TestRouteUpdateLateCopyOfEarlierMigration(t *testing.T) {
 	out := engine.NullCollector()
 	const k = stream.Key(11)
 	keys := []stream.Key{k}
-	first := RouteUpdate{Side: stream.R, Keys: keys, NewOwner: 1, Source: 0, Epoch: 1, MarkerTo: 0}
-	second := RouteUpdate{Side: stream.R, Keys: keys, NewOwner: 3, Source: 1, Epoch: 2, MarkerTo: 1}
+	first := RouteUpdate{Side: stream.R, Keys: keys, NewOwner: 1, Source: 0, Epoch: 1}
+	second := RouteUpdate{Side: stream.R, Keys: keys, NewOwner: 3, Source: 1, Epoch: 2}
 	for _, u := range []RouteUpdate{first, second, first} {
 		b.Execute(engine.Message{Stream: streamRouteUpd, Value: u}, out)
 	}
@@ -159,4 +160,46 @@ func TestMonitorOneDecisionInFlight(t *testing.T) {
 	if n := countKind(tr, obs.KindDone); n != 2 {
 		t.Fatalf("second re-arm: %d done events, want 2", n)
 	}
+}
+
+// TestSelectorPanicDoesNotWedgeSide: the source adopts a command's ID
+// before it runs the Selector, so the monitor's re-sends of that command
+// are ignored. A panicking selector must therefore still end its attempt
+// — as a noop the next load report completes — or the side's monitor
+// stays in flight and the side never migrates again.
+func TestSelectorPanicDoesNotWedgeSide(t *testing.T) {
+	var calls atomic.Int64
+	var panicAt atomic.Int64
+	sys := runChaos(t, "none", 4, 12000, func(c *Config) {
+		c.Sources[0] = paced(c.Sources[0])
+		c.Migration.Selector = func(in core.SelectInput) []stream.Key {
+			if calls.Add(1) == 1 {
+				panicAt.Store(stream.Now())
+				panic("injected selector failure")
+			}
+			return core.GreedyFit(in)
+		}
+	})
+	if calls.Load() == 0 {
+		t.Fatal("no migration decision reached a selector")
+	}
+	// The panic is re-raised once the attempt has ended, so the engine's
+	// per-task accounting names the side it hit.
+	side := -1
+	for s, comp := range []string{CompJoinerR, CompJoinerS} {
+		for _, st := range sys.Cluster().Stats(comp) {
+			if st.Panics > 0 {
+				side = s
+			}
+		}
+	}
+	if side < 0 {
+		t.Fatal("the selector panic was not recorded by the engine")
+	}
+	for _, ev := range sys.Metrics().MigrationLog() {
+		if ev.Side == stream.Side(side) && ev.At > panicAt.Load() {
+			return
+		}
+	}
+	t.Errorf("side %v committed no migration after its selector panicked", stream.Side(side))
 }

@@ -145,7 +145,7 @@ func TestSplitDrainRetiresEntry(t *testing.T) {
 	newOwner := (owner + 1) % b.cfg.JoinersPerSide
 	b.Execute(engine.Message{Stream: streamRouteUpd, Value: RouteUpdate{
 		Side: stream.R, Keys: []stream.Key{k},
-		NewOwner: newOwner, Source: owner, Epoch: 1, MarkerTo: owner,
+		NewOwner: newOwner, Source: owner, Epoch: 1,
 	}}, out)
 	if got := b.router.StoreTarget(stream.R, k); got != newOwner {
 		t.Fatalf("retired key still frozen: owner %d, want %d", got, newOwner)

@@ -496,8 +496,7 @@ func (b *dispatcherBolt) filterFrozenKeys(keys []stream.Key) []stream.Key {
 // copy salts round-robin across the key's own-side members while the
 // split is active (the owner keeps its pre-split share), and the probe
 // copies fan out to the opposite side's owner plus members — every
-// instance that may hold stored tuples of the key. All copies carry the
-// same Seq, like the multi-target strategies' probe copies.
+// instance that may hold stored tuples of the key.
 //
 //lint:hotpath
 func (b *dispatcherBolt) routeSplit(t stream.Tuple, e *splitEntry, now int64, out *engine.Collector) {
@@ -509,13 +508,13 @@ func (b *dispatcherBolt) routeSplit(t stream.Tuple, e *splitEntry, now int64, ou
 		storeAt = m[int(e.rr[ownSide])%len(m)]
 		e.rr[ownSide]++
 	}
-	b.emitTuple(ownSide, storeAt, TupleMsg{T: t, Op: OpStore, SentAt: now, Seq: b.seq}, out)
+	b.emitTuple(ownSide, storeAt, TupleMsg{T: t, Op: OpStore, SentAt: now}, out)
 
 	owner := b.router.StoreTarget(oppSide, t.Key)
-	b.emitTuple(oppSide, owner, TupleMsg{T: t, Op: OpProbe, SentAt: now, Seq: b.seq}, out)
+	b.emitTuple(oppSide, owner, TupleMsg{T: t, Op: OpProbe, SentAt: now}, out)
 	for _, m := range e.members[oppSide] {
 		if m != owner {
-			b.emitTuple(oppSide, m, TupleMsg{T: t, Op: OpProbe, SentAt: now, Seq: b.seq}, out)
+			b.emitTuple(oppSide, m, TupleMsg{T: t, Op: OpProbe, SentAt: now}, out)
 		}
 	}
 }

@@ -49,14 +49,14 @@ func TestSplitIntentDeferredDuringMigration(t *testing.T) {
 	// Target side: the key is inbound from another instance.
 	b.migrating = false
 	b.migKeys = nil
-	b.inbound = &inboundMig{origin: 1, epoch: 3, keys: map[stream.Key]bool{k: true}}
+	b.inbound = &inboundMig{epoch: 3, keys: map[stream.Key]bool{k: true}}
 	b.handleSplitIntent(SplitIntent{Side: stream.R, Key: k, Epoch: 2}, nil)
 	if b.splitTaint[k] {
 		t.Fatal("intent acked while the key was inbound at the target")
 	}
 
 	// A migration of a different key must not block the handshake.
-	b.inbound = &inboundMig{origin: 1, epoch: 3, keys: map[stream.Key]bool{8: true}}
+	b.inbound = &inboundMig{epoch: 3, keys: map[stream.Key]bool{8: true}}
 	b.handleSplitIntent(SplitIntent{Side: stream.R, Key: k, Epoch: 3}, engine.NullCollector())
 	if !b.splitTaint[k] {
 		t.Fatal("re-sent intent after the attempt cleared must taint the key")
@@ -188,7 +188,7 @@ func TestDispatcherFreezesSplitKeyRouting(t *testing.T) {
 	newOwner := (b.router.StoreTarget(stream.R, movable) + 1) % b.cfg.JoinersPerSide
 	upd := RouteUpdate{
 		Side: stream.R, Keys: []stream.Key{frozen, movable},
-		NewOwner: newOwner, Source: ownerBefore, Epoch: 1, MarkerTo: ownerBefore,
+		NewOwner: newOwner, Source: ownerBefore, Epoch: 1,
 	}
 	b.Execute(engine.Message{Stream: streamRouteUpd, Value: upd}, out)
 
@@ -211,7 +211,7 @@ func TestDispatcherFreezesSplitKeyRouting(t *testing.T) {
 	b.deactivateSplit(frozen, e, out)
 	b.Execute(engine.Message{Stream: streamRouteUpd, Value: RouteUpdate{
 		Side: stream.R, Keys: []stream.Key{frozen},
-		NewOwner: newOwner, Source: ownerBefore, Epoch: 2, MarkerTo: ownerBefore,
+		NewOwner: newOwner, Source: ownerBefore, Epoch: 2,
 	}}, out)
 	if got := b.router.StoreTarget(stream.R, frozen); got != ownerBefore {
 		t.Fatalf("residual split key rerouted: owner %d -> %d", ownerBefore, got)
@@ -335,10 +335,9 @@ func TestSplitMigrateUnsplitInterleaving(t *testing.T) {
 		assertExactlyOnce(t, referenceJoin(tuples, cfg.Predicate), got)
 
 		met := sys.Metrics()
-		t.Logf("splits=%d unsplits=%d migrations=%d aborts=%d frozen=%d",
+		t.Logf("splits=%d unsplits=%d migrations=%d frozen=%d",
 			met.KeysSplit.Value(), met.KeysUnsplit.Value(),
-			met.Migrations.Value(), met.MigrationAborts.Value(),
-			met.SplitFrozenKeys.Value())
+			met.Migrations.Value(), met.SplitFrozenKeys.Value())
 		if met.KeysSplit.Value() < 2 {
 			t.Errorf("KeysSplit = %d, want >= 2 (initial activation plus residual re-activation)",
 				met.KeysSplit.Value())
@@ -347,7 +346,7 @@ func TestSplitMigrateUnsplitInterleaving(t *testing.T) {
 			t.Errorf("KeysUnsplit = %d, want >= 1 (cooldown phase must unsplit the mega-key)",
 				met.KeysUnsplit.Value())
 		}
-		if met.Migrations.Value()+met.MigrationAborts.Value() == 0 {
+		if met.Migrations.Value() == 0 {
 			t.Error("no migration attempt fired: the interleaving was not exercised")
 		}
 	})
@@ -372,9 +371,9 @@ func TestSplitMigrateUnsplitInterleaving(t *testing.T) {
 		assertExactlyOnce(t, referenceJoin(tuples, cfg.Predicate), col.snapshot())
 
 		met := sys.Metrics()
-		t.Logf("splits=%d unsplits=%d migrations=%d aborts=%d faults=%+v",
+		t.Logf("splits=%d unsplits=%d migrations=%d faults=%+v",
 			met.KeysSplit.Value(), met.KeysUnsplit.Value(),
-			met.Migrations.Value(), met.MigrationAborts.Value(), cfg.Chaos.Counts())
+			met.Migrations.Value(), cfg.Chaos.Counts())
 		if met.KeysSplit.Value() == 0 {
 			t.Error("split never activated under the mixed profile")
 		}

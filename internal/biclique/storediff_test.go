@@ -12,7 +12,7 @@ import (
 // exactly the brute-force reference pair set. TestChaosDifferential
 // already exercises the default (chunked) store; this matrix adds the
 // map reference and makes the A/B explicit, so a semantics bug in the
-// arena layout — under migration, rollback, replay, and salted store
+// arena layout — under migration, replay, and salted store
 // traffic — cannot hide behind the system default. The name matches
 // `make chaos`'s -run 'Chaos' filter.
 func TestChaosStoreDifferential(t *testing.T) {

@@ -31,11 +31,8 @@ type SystemMetrics struct {
 	Migrations     metrics.Counter
 	MigratedKeys   metrics.Counter
 	MigratedTuples metrics.Counter
-	// MigrationAborts counts attempts that rolled back after the marker
-	// handshake timed out (see MigrationConfig.AbortTimeout).
-	MigrationAborts metrics.Counter
-	// MigrationsInFlight gauges migration attempts whose handshake (or
-	// rollback) has not finished. Quiescence checks poll it: engine
+	// MigrationsInFlight gauges migration attempts whose marker handshake
+	// has not committed yet. Quiescence checks poll it: engine
 	// settling with a non-zero value means tuples are still parked in
 	// migration buffers awaiting a tick-driven retransmit.
 	MigrationsInFlight metrics.Gauge
@@ -43,7 +40,7 @@ type SystemMetrics struct {
 	// (each poisoned tuple costs only itself; see joinerBolt.replay).
 	ReplayPanics metrics.Counter
 	// ReplayedTuples meters tuples re-processed from migration buffers
-	// (temporary queue, inbound buffer, or abort rollback). Their SentAt
+	// (temporary queue or inbound buffer). Their SentAt
 	// stamps are stale by the handshake's wall-time, so they are counted
 	// here instead of polluting the Latency histogram.
 	ReplayedTuples *metrics.Meter
@@ -120,14 +117,13 @@ type RuntimeSample struct {
 
 // MigrationEvent records one completed migration for diagnostics.
 type MigrationEvent struct {
-	At      int64       `json:"at"` // unix nanoseconds
-	Side    stream.Side `json:"side"`
-	Source  int         `json:"source"`
-	Target  int         `json:"target"`
-	LI      float64     `json:"li"` // imbalance that triggered it
-	Keys    int         `json:"keys"`
-	Moved   int         `json:"moved"`
-	Aborted bool        `json:"aborted,omitempty"`
+	At     int64       `json:"at"` // unix nanoseconds
+	Side   stream.Side `json:"side"`
+	Source int         `json:"source"`
+	Target int         `json:"target"`
+	LI     float64     `json:"li"` // imbalance that triggered it
+	Keys   int         `json:"keys"`
+	Moved  int         `json:"moved"`
 }
 
 // NewSystemMetrics returns metrics sized for one system.

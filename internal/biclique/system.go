@@ -118,8 +118,8 @@ func (s *System) Metrics() *SystemMetrics { return s.met }
 // or nil when tracing is off.
 func (s *System) Tracer() *obs.Tracer { return s.cfg.Tracer }
 
-// MigrationsInFlight reports migration attempts whose handshake or
-// rollback has not finished. Completeness checks under fault injection
+// MigrationsInFlight reports migration attempts whose marker handshake
+// has not committed yet. Completeness checks under fault injection
 // poll it after WaitComplete: the engine can settle during a quiet gap
 // while a joiner waits for a tick-driven retransmit, and tuples parked
 // in migration buffers only surface once this drops to zero.

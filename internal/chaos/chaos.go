@@ -40,13 +40,10 @@ const (
 	// FIFO that the exactly-once proof rests on — profiles must keep this
 	// class clean.
 	ClassData
-	// ClassMarker is a forward migration marker (the handshake the abort
-	// timeout guards). Safe to drop, delay, or duplicate.
+	// ClassMarker is a migration marker, the dispatcher's ack of a routing
+	// update. Safe to drop, delay, or duplicate: the source re-broadcasts
+	// the update every stats tick until every marker arrived.
 	ClassMarker
-	// ClassMarkerRevert is a revert marker sent during migration abort.
-	// Kept distinct from ClassMarker so an "abort storm" profile can kill
-	// the forward handshake while letting the rollback complete.
-	ClassMarkerRevert
 	// ClassRouteUpdate is a routing-table broadcast. Idempotent and
 	// re-broadcast until acknowledged, so safe to drop/delay/duplicate.
 	ClassRouteUpdate
@@ -55,7 +52,7 @@ const (
 	ClassCommand
 	// ClassReport is a joiner load report. Safe to fault.
 	ClassReport
-	// ClassMigData is migration state transfer (batch/flush/abort/return).
+	// ClassMigData is migration state transfer (batch and flush).
 	// Must stay FIFO and lossless: a dropped batch is lost tuples, a
 	// delayed batch can be overtaken by its flush. Duplicates are
 	// tolerated (epoch dedup), but the shipped profiles leave the class
@@ -66,7 +63,7 @@ const (
 )
 
 var classNames = [...]string{
-	"other", "data", "marker", "marker-revert", "route-update",
+	"other", "data", "marker", "route-update",
 	"command", "report", "mig-data",
 }
 

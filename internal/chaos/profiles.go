@@ -11,7 +11,7 @@ import (
 // ClassData and ClassMigData are deliberately absent — see the class
 // docs.
 var controlClasses = []Class{
-	ClassMarker, ClassMarkerRevert, ClassRouteUpdate, ClassCommand, ClassReport,
+	ClassMarker, ClassRouteUpdate, ClassCommand, ClassReport,
 }
 
 func uniformPolicy(classes []Class, p ClassPolicy) [numClasses]ClassPolicy {
@@ -50,17 +50,6 @@ func builtins() map[string]Profile {
 			StallProb: 0.002,
 			StallMin:  time.Millisecond,
 			StallMax:  10 * time.Millisecond,
-		},
-		// abortstorm kills the forward marker handshake outright, so every
-		// migration attempt hits its abort timeout and must roll back. The
-		// revert path is left un-faulted so the rollback itself completes.
-		"abortstorm": {
-			Name:  "abortstorm",
-			Rules: []Rule{{Class: ClassMarker, Op: OpDrop}},
-			Policies: uniformPolicy(
-				[]Class{ClassRouteUpdate, ClassReport},
-				ClassPolicy{Delay: 0.2, DelayMin: time.Millisecond, DelayMax: 5 * time.Millisecond},
-			),
 		},
 	}
 }

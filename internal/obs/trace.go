@@ -29,7 +29,7 @@ import (
 )
 
 // Kind is the type of one control-plane trace event. The taxonomy follows
-// the migration protocol (Algorithm 2 plus the abort/rollback refinement);
+// the migration protocol (Algorithm 2 with the marker fence);
 // see DESIGN.md "Observability" for the span lifecycle.
 type Kind uint8
 
@@ -51,7 +51,6 @@ const (
 	KindFence
 	// KindRouteApplied records one dispatcher task applying the update
 	// (first application only; re-deliveries are idempotent and silent).
-	// Revert distinguishes the rollback update of an aborting attempt.
 	KindRouteApplied
 	// KindMarker records one dispatcher's forward marker reaching the
 	// source (distinct dispatchers only — duplicates are not re-traced).
@@ -61,24 +60,12 @@ const (
 	// KindFlush records the source flushing its temporary queue to the
 	// target after the forward-marker fence completed.
 	KindFlush
-	// KindReplay records buffered tuples being replayed: at the target
-	// after a flush (commit path) or at the source after a rollback.
+	// KindReplay records buffered tuples being replayed at the target
+	// after the source's flush.
 	KindReplay
 	// KindCommit terminates a committed span: routing moved, the
 	// temporary queue flushed, exactly-once preserved.
 	KindCommit
-	// KindAbort records the marker handshake timing out: the attempt
-	// flips into the rollback protocol.
-	KindAbort
-	// KindRevertMarker records one dispatcher's revert marker arriving
-	// (at the target or the source — Instance tells which end).
-	KindRevertMarker
-	// KindReturn records the target's rollback payload (installed batch
-	// plus buffered tuples) reaching the source.
-	KindReturn
-	// KindRollback terminates an aborted span: routing restored, payload
-	// re-installed, buffers replayed in original order.
-	KindRollback
 	// KindDone records the side's monitor seeing a load report whose
 	// Done reached the span's decision ID and re-arming its trigger: both
 	// ends are clean. It trails the span's terminal event; a span is
@@ -127,10 +114,6 @@ var kindNames = [numKinds]string{
 	KindFlush:         "flush",
 	KindReplay:        "replay",
 	KindCommit:        "commit",
-	KindAbort:         "abort",
-	KindRevertMarker:  "revert-marker",
-	KindReturn:        "return",
-	KindRollback:      "rollback",
 	KindDone:          "done",
 	KindSplitPending:  "split-pending",
 	KindSplitActivate: "split-activate",
@@ -183,7 +166,7 @@ type KindRule struct {
 
 // spanRules is the single source of truth for the migration-event state
 // machine: one entry per emittable kind, encoding the causal skeleton of
-// Algorithm 2 plus the abort/rollback refinement. Span.Err interprets it
+// Algorithm 2 with the marker fence. Span.Err interprets it
 // at runtime, and the spanstate analyzer (internal/lint) extracts it
 // statically to check every tracer emit site in internal/biclique —
 // adding a Kind constant or an emit site without a rule here fails lint,
@@ -200,11 +183,7 @@ var spanRules = [numKinds]KindRule{
 	KindInstall:      {Trailing: true},
 	KindFlush:        {Requires: []Kind{KindMarker}},
 	KindReplay:       {Trailing: true},
-	KindCommit:       {Requires: []Kind{KindFlush}, Forbids: []Kind{KindAbort}, Terminal: true},
-	KindAbort:        {Requires: []Kind{KindFence}},
-	KindRevertMarker: {Requires: []Kind{KindAbort}},
-	KindReturn:       {Requires: []Kind{KindAbort}},
-	KindRollback:     {Requires: []Kind{KindReturn}, Terminal: true},
+	KindCommit:       {Requires: []Kind{KindFlush}, Terminal: true},
 	KindDone:         {Trailing: true},
 	// Split lifecycle. Activate repeats on reheats (no Forbids), residual
 	// requires a preceding activation, and a retire requires residual —
@@ -316,8 +295,6 @@ type Event struct {
 	// LI is the imbalance that triggered the span; Theta the configured Θ.
 	LI    float64 `json:"li,omitempty"`
 	Theta float64 `json:"theta,omitempty"`
-	// Revert marks a KindRouteApplied of the rollback update.
-	Revert bool `json:"revert,omitempty"`
 }
 
 // DefaultTraceCapacity is the ring capacity used when NewTracer is given
@@ -451,8 +428,8 @@ func Spans(events []Event) []Span {
 	return out
 }
 
-// Terminal returns the span's terminal event kind (KindCommit,
-// KindRollback, or KindNoop), or KindNone if the span has not finished.
+// Terminal returns the span's terminal event kind (KindCommit or
+// KindNoop), or KindNone if the span has not finished.
 func (s Span) Terminal() Kind {
 	for _, ev := range s.Events {
 		if ev.Kind.Terminal() {
@@ -473,8 +450,7 @@ func (s Span) Terminal() Kind {
 // The causal skeleton the table encodes:
 //
 //   - markers appear only inside the fence (after KindFence);
-//   - a commit is preceded by the full forward-marker handshake and the
-//     flush; a rollback by KindAbort, the revert markers, and KindReturn;
+//   - a commit is preceded by the full marker handshake and the flush;
 //   - only KindReplay and KindInstall (the target runs concurrently with
 //     the marker handshake, so its events can trail the source's commit)
 //     and KindDone may trail the terminal event.

@@ -99,10 +99,6 @@ func TestSpanErr(t *testing.T) {
 			KindMarker, KindFlush, KindInstall, KindCommit, KindReplay, KindDone),
 		// Empty selection: trigger, select, noop.
 		evs(KindTrigger, KindSelect, KindNoop, KindDone),
-		// Aborted migration: fence, partial markers, abort, revert
-		// markers, return, rollback with replay after.
-		evs(KindTrigger, KindSelect, KindFence, KindMarker, KindAbort,
-			KindRevertMarker, KindRevertMarker, KindReturn, KindReplay, KindRollback, KindDone),
 	}
 	for i, events := range valid {
 		if err := (Span{ID: events[0].Span, Events: events}).Err(); err != nil {
@@ -120,8 +116,6 @@ func TestSpanErr(t *testing.T) {
 		{"marker before fence", evs(KindTrigger, KindSelect, KindMarker)},
 		{"flush without marker", evs(KindTrigger, KindSelect, KindFence, KindFlush)},
 		{"commit without flush", evs(KindTrigger, KindSelect, KindFence, KindMarker, KindCommit)},
-		{"commit after abort", evs(KindTrigger, KindSelect, KindFence, KindMarker, KindFlush, KindAbort, KindCommit)},
-		{"rollback without return", evs(KindTrigger, KindSelect, KindFence, KindAbort, KindRollback)},
 		{"noop after fence", evs(KindTrigger, KindSelect, KindFence, KindNoop)},
 		{"event after terminal", evs(KindTrigger, KindSelect, KindNoop, KindFence)},
 		{"no terminal", evs(KindTrigger, KindSelect, KindFence, KindMarker)},

@@ -7,8 +7,8 @@ import (
 )
 
 // FuzzRoutingUpdate drives the hash router through an arbitrary script
-// of ownership updates — the operation a migration's RouteUpdate (and
-// its abort revert) performs — and checks the invariants every
+// of ownership updates — the operation a migration's RouteUpdate
+// performs — and checks the invariants every
 // dispatcher relies on:
 //
 //   - the owner of any key is always a valid instance index in [0, n)

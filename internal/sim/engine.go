@@ -336,23 +336,6 @@ func (s *sim) migrate(side stream.Side, d *core.Decision) {
 		return
 	}
 
-	if s.chaos != nil && s.chaos.Float64() < s.cfg.Chaos.MigFailProb {
-		// Aborted handshake: the batch was shipped to the target and
-		// returned, so both endpoints pay the transfer twice, but routing
-		// and stored state roll back unchanged (the live dual-fence abort).
-		var would int64
-		for _, k := range selected {
-			would += src.storedPerKey[k]
-		}
-		if would > 0 {
-			cost := 2 * float64(would) * s.cfg.TransferCost
-			s.enqueue(src, task{cost: cost, enqueued: s.now})
-			s.enqueue(dst, task{cost: cost, enqueued: s.now})
-		}
-		s.res.MigrationAborts++
-		return
-	}
-
 	sel := make(map[stream.Key]bool, len(selected))
 	var moved int64
 	for _, k := range selected {

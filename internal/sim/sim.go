@@ -94,15 +94,12 @@ type Config struct {
 
 // Chaos configures the simulator's fault emulation. The simulator has no
 // message lanes to drop packets on, so it models the *load effects* of the
-// live chaos profiles instead: a failed marker handshake becomes a
-// migration that aborts and rolls back (the batch is shipped and
-// returned, charging both endpoints double transfer work, with routing
-// and state unchanged); message delays become periodic instance stalls.
-// All draws come from the run's Seed, so a simulation replays exactly.
+// live chaos profiles instead: message delays become periodic instance
+// stalls. Dropped and duplicated control messages have no load effect —
+// the live system re-sends and dedups them, and every migration still
+// ends by commit. All draws come from the run's Seed, so a simulation
+// replays exactly.
 type Chaos struct {
-	// MigFailProb is the probability that a triggered migration aborts
-	// after shipping its batch (the live AbortTimeout path).
-	MigFailProb float64
 	// StallProb is the per-instance, per-stats-tick probability of a
 	// stall; StallSec is the stall length in virtual seconds
 	// (default 0.05 when StallProb is set).
@@ -110,27 +107,21 @@ type Chaos struct {
 	StallSec  float64
 }
 
-func (c Chaos) enabled() bool { return c.MigFailProb > 0 || c.StallProb > 0 }
+func (c Chaos) enabled() bool { return c.StallProb > 0 }
 
 // ChaosPreset maps the live chaos profile names (chaos.Names) onto
 // simulator knobs, so `fastjoin-sim -chaos mixed` drills the same
 // scenarios the live suite replays.
 func ChaosPreset(name string) (Chaos, error) {
 	switch name {
-	case "", "none":
+	case "", "none", "droponly", "duponly":
+		// Drops are re-sent and duplicates absorbed by epoch dedup; the
+		// live system shows neither as load.
 		return Chaos{}, nil
-	case "droponly":
-		// Dropped forward markers are what time a handshake out.
-		return Chaos{MigFailProb: 0.5}, nil
 	case "delayonly":
 		return Chaos{StallProb: 0.2, StallSec: 0.05}, nil
-	case "duponly":
-		// Duplicates are absorbed by epoch dedup; no load-model effect.
-		return Chaos{}, nil
 	case "mixed":
-		return Chaos{MigFailProb: 0.3, StallProb: 0.1, StallSec: 0.05}, nil
-	case "abortstorm":
-		return Chaos{MigFailProb: 1}, nil
+		return Chaos{StallProb: 0.1, StallSec: 0.05}, nil
 	default:
 		return Chaos{}, fmt.Errorf("sim: unknown chaos preset %q", name)
 	}
@@ -197,9 +188,8 @@ func (c *Config) validate() error {
 	if c.SampleEvery <= 0 {
 		c.SampleEvery = 0.5
 	}
-	if c.Chaos.MigFailProb < 0 || c.Chaos.MigFailProb > 1 ||
-		c.Chaos.StallProb < 0 || c.Chaos.StallProb > 1 {
-		return fmt.Errorf("sim: chaos probabilities must be in [0,1]")
+	if c.Chaos.StallProb < 0 || c.Chaos.StallProb > 1 {
+		return fmt.Errorf("sim: chaos stall probability must be in [0,1]")
 	}
 	if c.Chaos.StallProb > 0 && c.Chaos.StallSec <= 0 {
 		c.Chaos.StallSec = 0.05
@@ -235,8 +225,6 @@ type Result struct {
 	Migrations     int
 	MigratedKeys   int64
 	MigratedTuples int64
-	// MigrationAborts counts attempts that rolled back under chaos.
-	MigrationAborts int
 	// FinalLoads is each R-side instance's load at the end.
 	FinalLoads []int64
 }

@@ -290,7 +290,7 @@ func TestDriftingHotspotAdaptation(t *testing.T) {
 }
 
 func TestChaosPresets(t *testing.T) {
-	for _, name := range []string{"", "none", "droponly", "delayonly", "duponly", "mixed", "abortstorm"} {
+	for _, name := range []string{"", "none", "droponly", "delayonly", "duponly", "mixed"} {
 		if _, err := ChaosPreset(name); err != nil {
 			t.Errorf("preset %q: %v", name, err)
 		}
@@ -299,51 +299,9 @@ func TestChaosPresets(t *testing.T) {
 		t.Error("unknown preset did not error")
 	}
 	cfg := baseline(StrategyHash, false, 2.2)
-	cfg.Chaos.MigFailProb = 1.5
+	cfg.Chaos.StallProb = 1.5
 	if _, err := Run(cfg); err == nil {
 		t.Error("out-of-range chaos probability did not error")
-	}
-}
-
-func TestChaosAbortEmulation(t *testing.T) {
-	run := func(failProb float64) *Result {
-		cfg := baseline(StrategyHash, true, 1.5)
-		cfg.Chaos = Chaos{MigFailProb: failProb}
-		// Fresh samplers per run: they carry rng state.
-		cfg.SamplerR = workload.NewZipfShuffled(2000, 1.2, 11)
-		cfg.SamplerS = workload.NewZipfShuffled(2000, 1.2, 12)
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return res
-	}
-
-	clean := run(0)
-	if clean.Migrations == 0 {
-		t.Fatal("workload too tame: no migrations without chaos")
-	}
-	if clean.MigrationAborts != 0 {
-		t.Fatalf("aborts without chaos: %d", clean.MigrationAborts)
-	}
-
-	storm := run(1)
-	if storm.Migrations != 0 {
-		t.Errorf("migrations completed under MigFailProb=1: %d", storm.Migrations)
-	}
-	if storm.MigrationAborts == 0 {
-		t.Error("no aborts under MigFailProb=1")
-	}
-	// Rolled-back migrations leave the imbalance untreated.
-	if storm.SteadyLI <= clean.SteadyLI {
-		t.Errorf("abort storm LI %.2f <= clean LI %.2f; rollback had data effects?",
-			storm.SteadyLI, clean.SteadyLI)
-	}
-
-	// Chaos draws are seeded: identical configs replay exactly.
-	a, b := run(0.5), run(0.5)
-	if a.Results != b.Results || a.MigrationAborts != b.MigrationAborts || a.Migrations != b.Migrations {
-		t.Errorf("chaos run not deterministic: %+v vs %+v", a, b)
 	}
 }
 
@@ -365,5 +323,10 @@ func TestChaosStallsSlowLatency(t *testing.T) {
 	if stalled.MeanLatencySec <= clean.MeanLatencySec {
 		t.Errorf("stalls did not raise latency: %.5f <= %.5f",
 			stalled.MeanLatencySec, clean.MeanLatencySec)
+	}
+	// Chaos draws are seeded: identical configs replay exactly.
+	if again := run(Chaos{StallProb: 0.5, StallSec: 0.2}); again.Results != stalled.Results ||
+		again.MeanLatencySec != stalled.MeanLatencySec {
+		t.Errorf("chaos run not deterministic: %+v vs %+v", again, stalled)
 	}
 }

@@ -196,9 +196,9 @@ func TestDifferentialRandomOps(t *testing.T) {
 
 // TestDifferentialMigrationInterleaving models the two-instance migration
 // dance: keys move between a source and a target store (extract on one,
-// install on the other, possibly bounced back by an abort) interleaved with
-// new arrivals and expiry on both sides, each side shadowed by a reference
-// store.
+// install on the other, possibly moved back by a later migration)
+// interleaved with new arrivals and expiry on both sides, each side
+// shadowed by a reference store.
 func TestDifferentialMigrationInterleaving(t *testing.T) {
 	const keyspace = 16
 	for seed := int64(1); seed <= 6; seed++ {
@@ -216,7 +216,7 @@ func TestDifferentialMigrationInterleaving(t *testing.T) {
 					k := stream.Key(rng.Intn(keyspace))
 					dstC.AddBulk(srcC.RemoveKey(k))
 					dstR.AddBulk(srcR.RemoveKey(k))
-				case 1: // abort rollback: bounce a key dst -> src
+				case 1: // a later migration moves a key back dst -> src
 					k := stream.Key(rng.Intn(keyspace))
 					srcC.AddBulk(dstC.RemoveKey(k))
 					srcR.AddBulk(dstR.RemoveKey(k))

@@ -34,10 +34,6 @@ const (
 	TraceFlush        = obs.KindFlush
 	TraceReplay       = obs.KindReplay
 	TraceCommit       = obs.KindCommit
-	TraceAbort        = obs.KindAbort
-	TraceRevertMarker = obs.KindRevertMarker
-	TraceReturn       = obs.KindReturn
-	TraceRollback     = obs.KindRollback
 	TraceDone         = obs.KindDone
 	// Split-lifecycle kinds: one span per split key lifetime at its owning
 	// dispatcher task (pending → activate → residual → drained* → retire,
@@ -52,7 +48,7 @@ const (
 
 // Trace returns a snapshot of the control-plane trace ring, oldest first:
 // every migration protocol step (trigger, selection, fence, markers,
-// flush, commit — or abort, return, rollback) the system has recorded.
+// flush, commit) the system has recorded.
 // The tracer is always on; it records nothing on the data plane.
 func (s *System) Trace() []TraceEvent { return s.trace.Snapshot() }
 
@@ -174,15 +170,13 @@ func (o *obsSource) ObsFamilies() []obs.Family {
 	fams = append(fams,
 		obs.Family{Name: "fastjoin_migrations_total", Help: "Completed key migrations.",
 			Type: obs.TypeCounter, Samples: []obs.Sample{{Value: float64(st.Migrations)}}},
-		obs.Family{Name: "fastjoin_migration_aborts_total", Help: "Migration attempts that timed out the marker handshake and rolled back.",
-			Type: obs.TypeCounter, Samples: []obs.Sample{{Value: float64(st.MigrationAborts)}}},
 		obs.Family{Name: "fastjoin_migrated_keys_total", Help: "Keys moved by completed migrations.",
 			Type: obs.TypeCounter, Samples: []obs.Sample{{Value: float64(st.MigratedKeys)}}},
 		obs.Family{Name: "fastjoin_migrated_tuples_total", Help: "Stored tuples moved by completed migrations.",
 			Type: obs.TypeCounter, Samples: []obs.Sample{{Value: float64(st.MigratedTuples)}}},
 		obs.Family{Name: "fastjoin_replayed_tuples_total", Help: "Tuples re-processed from migration buffers.",
 			Type: obs.TypeCounter, Samples: []obs.Sample{{Value: float64(st.ReplayedTuples)}}},
-		obs.Family{Name: "fastjoin_migrations_in_flight", Help: "Migration handshakes or rollbacks not yet finished.",
+		obs.Family{Name: "fastjoin_migrations_in_flight", Help: "Migration handshakes not yet committed.",
 			Type: obs.TypeGauge, Samples: []obs.Sample{{Value: float64(s.MigrationsInFlight())}}},
 		obs.Family{Name: "fastjoin_split_keys", Help: "Currently split hot keys (stores salted across instances).",
 			Type: obs.TypeGauge, Samples: []obs.Sample{{Value: float64(st.SplitKeys)}}},

@@ -71,7 +71,6 @@ func TestObserveEndpoint(t *testing.T) {
 		"fastjoin_engine_queue_depth",
 		"fastjoin_engine_queue_high_water",
 		"fastjoin_migrations_total",
-		"fastjoin_migration_aborts_total",
 		"fastjoin_trace_events_total",
 	} {
 		if !strings.Contains(body, "# TYPE "+family+" ") {

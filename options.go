@@ -46,18 +46,14 @@ const (
 	ChaosDupOnly
 	// ChaosMixed combines drops, delays, duplicates, and task stalls.
 	ChaosMixed
-	// ChaosAbortStorm targets the marker handshake to force migration
-	// aborts and rollbacks.
-	ChaosAbortStorm
 )
 
 var chaosProfileNames = map[ChaosProfile]string{
-	ChaosNone:       "none",
-	ChaosDropOnly:   "droponly",
-	ChaosDelayOnly:  "delayonly",
-	ChaosDupOnly:    "duponly",
-	ChaosMixed:      "mixed",
-	ChaosAbortStorm: "abortstorm",
+	ChaosNone:      "none",
+	ChaosDropOnly:  "droponly",
+	ChaosDelayOnly: "delayonly",
+	ChaosDupOnly:   "duponly",
+	ChaosMixed:     "mixed",
 }
 
 // String names the profile as the -chaos flag and chaos.Lookup do.
@@ -96,13 +92,6 @@ type MigrationOptions struct {
 	SustainTicks int
 	// MinBenefit is GreedyFit's θ_gap (default 1).
 	MinBenefit int64
-	// AbortTimeout bounds a migration's marker handshake: if the forward
-	// markers have not all arrived after this long (measured in
-	// StatsInterval ticks), the migration aborts and rolls back to the
-	// pre-migration routing without losing or duplicating results.
-	// 0 disables aborts (a stuck handshake then relies on re-broadcast
-	// alone).
-	AbortTimeout time.Duration
 	// SplitThreshold enables hot-key splitting: a key whose share of its
 	// dispatcher task's traffic exceeds this fraction (per detector
 	// epoch) is split — its stored tuples salt across SplitWays join

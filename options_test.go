@@ -87,7 +87,7 @@ func TestStoreKindRoundTrip(t *testing.T) {
 }
 
 func TestChaosProfileRoundTrip(t *testing.T) {
-	all := []ChaosProfile{ChaosNone, ChaosDropOnly, ChaosDelayOnly, ChaosDupOnly, ChaosMixed, ChaosAbortStorm}
+	all := []ChaosProfile{ChaosNone, ChaosDropOnly, ChaosDelayOnly, ChaosDupOnly, ChaosMixed}
 	for _, p := range all {
 		got, err := ParseChaosProfile(p.String())
 		if err != nil || got != p {

@@ -78,7 +78,6 @@ for family in \
   fastjoin_engine_queue_depth \
   fastjoin_engine_queue_high_water \
   fastjoin_migrations_total \
-  fastjoin_migration_aborts_total \
   fastjoin_split_keys \
   fastjoin_split_residual_keys \
   fastjoin_keys_retired_total \
