@@ -108,7 +108,7 @@ fuzz-short:
 	$(GO) test ./internal/routing -run='^$$' -fuzz=FuzzRoutingUpdate -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/window -run='^$$' -fuzz=FuzzStoreOps -fuzztime=$(FUZZTIME)
 
-## cover: per-package coverage plus the biclique+core+chaos floor gate
+## cover: per-package coverage plus the biclique+core floor gate
 ## (scripts/coverage_gate.sh, baseline in ci/coverage_baseline.txt).
 cover:
 	./scripts/coverage_gate.sh

@@ -3,7 +3,8 @@
 // hosts (the paper's Kafka-producers / Storm-cluster split).
 //
 // Join server (waits for -ingest client connections, joins their tuples,
-// prints live stats, exits when every client closes):
+// prints live stats, exits when every client closes; exits non-zero, naming
+// the connection, when one breaks mid-stream):
 //
 //	fastjoin-node -listen 127.0.0.1:7100 -ingest 2 -joiners 8
 //
@@ -85,7 +86,6 @@ func serve(addr string, ingest, joiners int, kindName string, theta float64, obs
 	if err != nil {
 		fatal(err)
 	}
-	defer closeConns()
 
 	sys, err := fastjoin.New(fastjoin.Options{
 		Kind:      kind,
@@ -118,9 +118,14 @@ func serve(addr string, ingest, joiners int, kindName string, theta float64, obs
 			fmt.Printf("  ingested=%d results=%d (%.0f/s) latency=%.0fµs migrations=%d\n",
 				sys.Ingested(), st.Results, sys.ThroughputTick(), st.LatencyMeanUs, st.Migrations)
 		case err := <-done:
+			var broken error
 			switch {
 			case err == nil:
-				fmt.Println("all clients finished.")
+				// Every source has ended; a broken connection ended its
+				// source early, and that is a failed run, not a finished one.
+				if broken = closeConns(); broken == nil {
+					fmt.Println("all clients finished.")
+				}
 			case errors.Is(err, context.Canceled):
 				fmt.Println("interrupted; draining...")
 				drainCtx, stop := context.WithTimeout(context.Background(), 10*time.Second)
@@ -128,11 +133,15 @@ func serve(addr string, ingest, joiners int, kindName string, theta float64, obs
 					fmt.Fprintln(os.Stderr, "fastjoin-node: drain:", derr)
 				}
 				stop()
+				broken = closeConns()
 			default:
 				fatal(err)
 			}
 			sys.Stop()
 			fmt.Println(sys.Stats())
+			if broken != nil {
+				fatal(broken)
+			}
 			return
 		}
 	}

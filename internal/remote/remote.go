@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"fastjoin"
 	"fastjoin/internal/stream"
@@ -42,17 +43,27 @@ func init() {
 
 // AcceptSources waits for n client connections on the server and returns
 // one TupleSource per client. Each source yields the client's tuples in
-// arrival order and ends when the client closes its connection. The
-// returned closer shuts every accepted connection.
-func AcceptSources(srv *transport.Server, n int) ([]fastjoin.TupleSource, func(), error) {
+// arrival order and ends when the client closes its connection, or when
+// the connection breaks; nothing is resent. The stream carries no end
+// marker, so a client that dies between two messages looks like one that
+// closed. The returned closer shuts every accepted connection and
+// reports the first connection that broke, so a nil result means every
+// source ended cleanly (or was cut by the closer itself).
+func AcceptSources(srv *transport.Server, n int) ([]fastjoin.TupleSource, func() error, error) {
 	if n <= 0 {
 		return nil, nil, fmt.Errorf("remote: need at least one ingestion connection")
 	}
-	conns := make([]transport.Conn, 0, n)
-	closer := func() {
-		for _, c := range conns {
-			c.Close()
+	srcs := make([]*connSource, 0, n)
+	closer := func() error {
+		for _, src := range srcs {
+			src.conn.Close()
 		}
+		for i, src := range srcs {
+			if err := src.err(); err != nil {
+				return fmt.Errorf("remote: ingestion connection %d of %d broke: %w", i+1, len(srcs), err)
+			}
+		}
+		return nil
 	}
 	sources := make([]fastjoin.TupleSource, 0, n)
 	for i := 0; i < n; i++ {
@@ -61,8 +72,9 @@ func AcceptSources(srv *transport.Server, n int) ([]fastjoin.TupleSource, func()
 			closer()
 			return nil, nil, fmt.Errorf("remote: accept ingestion %d: %w", i, err)
 		}
-		conns = append(conns, conn)
-		sources = append(sources, connSource(conn))
+		src := &connSource{conn: conn}
+		srcs = append(srcs, src)
+		sources = append(sources, src.next)
 	}
 	return sources, closer, nil
 }
@@ -70,28 +82,46 @@ func AcceptSources(srv *transport.Server, n int) ([]fastjoin.TupleSource, func()
 // connSource adapts one connection to a pull-based tuple source. The spout
 // goroutine blocks in Recv between chunks and hands out each decoded
 // tupleChunk's slice in order; messages of another stream or shape are
-// skipped. EOF or any error ends the source for good.
-func connSource(conn transport.Conn) fastjoin.TupleSource {
-	done := false
-	var chunk []stream.Tuple // what is left of the chunk being handed out
-	return func() (fastjoin.Tuple, bool) {
-		for len(chunk) == 0 {
-			if done {
-				return fastjoin.Tuple{}, false
-			}
-			m, err := conn.Recv()
-			if err != nil {
-				done = true
-				return fastjoin.Tuple{}, false
-			}
-			if c, ok := m.Value.(tupleChunk); ok && m.Stream == tupleStream {
-				chunk = c.Tuples
-			}
+// skipped. A clean EOF or any error ends the source for good; an error
+// other than EOF is kept for the closer, which runs on another goroutine.
+type connSource struct {
+	conn  transport.Conn
+	done  bool
+	chunk []stream.Tuple // what is left of the chunk being handed out
+
+	mu     sync.Mutex
+	broken error
+}
+
+func (c *connSource) next() (fastjoin.Tuple, bool) {
+	for len(c.chunk) == 0 {
+		if c.done {
+			return fastjoin.Tuple{}, false
 		}
-		t := chunk[0]
-		chunk = chunk[1:]
-		return t, true
+		m, err := c.conn.Recv()
+		if err != nil {
+			c.done = true
+			if !errors.Is(err, io.EOF) {
+				c.mu.Lock()
+				c.broken = err
+				c.mu.Unlock()
+			}
+			return fastjoin.Tuple{}, false
+		}
+		if tc, ok := m.Value.(tupleChunk); ok && m.Stream == tupleStream {
+			c.chunk = tc.Tuples
+		}
 	}
+	t := c.chunk[0]
+	c.chunk = c.chunk[1:]
+	return t, true
+}
+
+// err returns the error that broke the connection, nil after a clean end.
+func (c *connSource) err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.broken
 }
 
 // StreamTuples dials a join server and pushes the source's tuples until it
@@ -143,9 +173,6 @@ func sendTuples(conn transport.Conn, src fastjoin.TupleSource, size int) (int, e
 			close(stop)
 			for range queue {
 				// Discard until pull returns and closes queue.
-			}
-			if errors.Is(err, io.EOF) {
-				return sent, nil
 			}
 			return sent, fmt.Errorf("remote: send after %d tuples: %w", sent, err)
 		}

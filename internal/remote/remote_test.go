@@ -1,6 +1,9 @@
 package remote
 
 import (
+	"bytes"
+	"encoding/gob"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -109,7 +112,7 @@ func TestStreamTuplesDialFailure(t *testing.T) {
 func TestConnSourceIgnoresForeignMessages(t *testing.T) {
 	a, b := transport.Pipe(8)
 	defer a.Close()
-	src := connSource(b)
+	src := (&connSource{conn: b}).next
 	// A non-tuple message must be skipped, then the tuple delivered.
 	if err := a.Send(transport.Message{Stream: "noise", Value: 42}); err != nil {
 		t.Fatal(err)
@@ -129,5 +132,115 @@ func TestConnSourceIgnoresForeignMessages(t *testing.T) {
 	}
 	if _, ok := src(); ok {
 		t.Error("source revived")
+	}
+}
+
+// TestBrokenIngestionIsReported feeds AcceptSources from a raw TCP client
+// and checks that only a clean end reads as one: a client that dies
+// mid-message ends its source after the last whole chunk and the closer
+// reports the break, while a client that closes between messages, or a
+// closer that cuts a source blocked in Recv, leaves the closer with nil.
+func TestBrokenIngestionIsReported(t *testing.T) {
+	chunkOf := func(first, n int) tupleChunk {
+		c := tupleChunk{Tuples: make([]fastjoin.Tuple, n)}
+		for i := range c.Tuples {
+			c.Tuples[i] = fastjoin.Tuple{Side: fastjoin.R, Key: fastjoin.Key(i % 3), Seq: uint64(first + i)}
+		}
+		return c
+	}
+	// Two 10-tuple messages as tcpConn.Send writes them; first is where
+	// the first one ends.
+	var wire bytes.Buffer
+	enc := gob.NewEncoder(&wire)
+	var first int
+	for _, c := range []tupleChunk{chunkOf(0, 10), chunkOf(10, 10)} {
+		if err := enc.Encode(&transport.Message{Stream: tupleStream, Value: c}); err != nil {
+			t.Fatal(err)
+		}
+		if first == 0 {
+			first = wire.Len()
+		}
+	}
+	all := wire.Bytes()
+	half := first + (len(all)-first)/2
+	cases := []struct {
+		name       string
+		write      []byte
+		closeLocal bool // cut the source with the closer instead of a client close
+		want       int  // tuples the source yields
+		wantErr    bool // closer reports a broken connection
+	}{
+		{name: "peer dies mid-message", write: all[:half], want: 10, wantErr: true},
+		{name: "peer closes between messages", write: all, want: 20},
+		{name: "closer cuts a blocked source", write: all, closeLocal: true, want: 20},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := transport.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			client, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			if _, err := client.Write(tc.write); err != nil {
+				t.Fatal(err)
+			}
+			if !tc.closeLocal {
+				client.Close()
+			}
+			sources, closeConns, err := AcceptSources(srv, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			got := make(chan fastjoin.Tuple, 32)
+			go func() {
+				defer close(got)
+				for {
+					tp, ok := sources[0]()
+					if !ok {
+						return
+					}
+					got <- tp
+				}
+			}()
+			for i := 0; i < tc.want; i++ {
+				select {
+				case tp, ok := <-got:
+					if !ok {
+						t.Fatalf("source ended after %d tuples, want %d", i, tc.want)
+					}
+					if tp.Seq != uint64(i) {
+						t.Fatalf("tuple %d has seq %d", i, tp.Seq)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("source yielded %d tuples, want %d", i, tc.want)
+				}
+			}
+			if tc.closeLocal {
+				// The source has handed out everything sent and now waits in
+				// Recv for more; only the closer can end it.
+				closeConns()
+			}
+			select {
+			case tp, ok := <-got:
+				if ok {
+					t.Fatalf("source yielded extra tuple %+v", tp)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("source did not end")
+			}
+			err = closeConns()
+			if tc.wantErr && err == nil {
+				t.Error("closer returned nil for a connection that broke mid-message")
+			}
+			if !tc.wantErr && err != nil {
+				t.Errorf("closer = %v for a clean end", err)
+			}
+		})
 	}
 }

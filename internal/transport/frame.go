@@ -7,10 +7,11 @@ import (
 	"io"
 )
 
-// The reliable layer runs its own binary framing instead of bare gob so
-// that sequence/ack numbers live in a fixed header the receiver can
-// parse without decoding the payload, and so the wire format has a
-// well-defined parser to fuzz (FuzzDecodeFrame).
+// Frame is a binary frame codec with sequence/ack numbers in a fixed
+// header. No product path uses it: Conn sends bare gob and resends
+// nothing. It stays only because the regression benchmark times
+// EncodeFrame/DecodeFrame (benchmark/layers.go) and FuzzDecodeFrame keeps
+// a parser corpus; it goes with that timing (ROADMAP item 1(f)).
 //
 // Layout, big endian:
 //
@@ -26,22 +27,16 @@ type Frame struct {
 	Payload []byte
 }
 
-// FrameType discriminates reliable-layer frames.
+// FrameType discriminates frames.
 type FrameType uint8
 
+// The frame types. Only the codec's range check gives them meaning; no
+// protocol sends them.
 const (
-	// FrameHello opens (or re-opens) a session: Payload is the session
-	// ID, Seq is the client's next expected inbound sequence number.
 	FrameHello FrameType = iota + 1
-	// FrameWelcome acknowledges a Hello: Seq is the server's next
-	// expected inbound sequence number for the session.
 	FrameWelcome
-	// FrameData carries one message; Seq orders it, Ack piggybacks the
-	// sender's next expected inbound sequence number.
 	FrameData
-	// FrameAck acknowledges delivery of everything below Ack.
 	FrameAck
-	// FrameBye announces a clean close, distinguishing it from a crash.
 	FrameBye
 
 	frameTypeEnd

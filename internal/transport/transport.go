@@ -1,14 +1,16 @@
 // Package transport provides the message pipes a multi-process deployment
-// of the engine would run on: an in-process reference implementation and a
+// of the engine runs on: an in-process reference implementation and a
 // TCP implementation with gob encoding.
 //
 // The local engine (engine.LocalCluster) moves messages over Go channels;
 // this package supplies the equivalent abstraction across process and host
 // boundaries, so a topology can be split over workers the way the paper's
 // Storm deployment spreads bolts over a cluster. The stream-join system
-// itself is transport-agnostic: everything it sends (tuples, load reports,
-// migration batches, routing updates) is a plain Go value registered for
-// encoding with RegisterTypes.
+// itself is transport-agnostic: everything it sends is a plain Go value
+// registered for encoding with RegisterValue.
+//
+// Nothing is resent: a TCP connection that breaks reports the break from
+// Recv or Send, and what was in flight is lost.
 package transport
 
 import (
@@ -30,14 +32,15 @@ type Message struct {
 	Value    any
 }
 
-// Conn is a bidirectional, ordered, reliable message pipe. Send and Recv
-// may be used concurrently with each other; two goroutines must not call
-// Send (or Recv) at the same time.
+// Conn is a bidirectional, ordered message pipe. Send and Recv may be used
+// concurrently with each other; two goroutines must not call Send (or
+// Recv) at the same time.
 type Conn interface {
 	// Send transmits one message.
 	Send(m Message) error
 	// Recv blocks for the next message. It returns io.EOF after the peer
-	// closes cleanly.
+	// closes cleanly between messages or after a local Close; any other
+	// error means the stream broke.
 	Recv() (Message, error)
 	// Close releases the pipe; pending Recv calls are unblocked.
 	Close() error
@@ -46,34 +49,8 @@ type Conn interface {
 // ErrClosed is returned by Send on a closed pipe.
 var ErrClosed = errors.New("transport: connection closed")
 
-// Options tunes network-level timeouts for TCP connections. The zero
-// value keeps reads and writes unbounded (the historical behaviour) and
-// applies DefaultDialTimeout to dials.
-type Options struct {
-	// DialTimeout bounds connection establishment (default
-	// DefaultDialTimeout; negative disables).
-	DialTimeout time.Duration
-	// ReadTimeout, when positive, bounds each Recv: a peer that accepts
-	// and then hangs surfaces as a deadline error instead of blocking
-	// forever.
-	ReadTimeout time.Duration
-	// WriteTimeout, when positive, bounds each Send.
-	WriteTimeout time.Duration
-}
-
-// DefaultDialTimeout applies when Options.DialTimeout is zero.
-const DefaultDialTimeout = 10 * time.Second
-
-func (o Options) dialTimeout() time.Duration {
-	switch {
-	case o.DialTimeout < 0:
-		return 0
-	case o.DialTimeout == 0:
-		return DefaultDialTimeout
-	default:
-		return o.DialTimeout
-	}
-}
+// dialTimeout bounds connection establishment in Dial.
+const dialTimeout = 10 * time.Second
 
 // RegisterValue registers a payload type for gob encoding. Call once per
 // concrete type that will travel as Message.Value over a TCP connection.
@@ -152,43 +129,39 @@ type tcpConn struct {
 	conn net.Conn
 	enc  *gob.Encoder
 	dec  *gob.Decoder
-	opts Options
 
 	sendMu sync.Mutex
 	recvMu sync.Mutex
 }
 
 // newTCPConn wraps an established network connection.
-func newTCPConn(conn net.Conn, opts Options) Conn {
+func newTCPConn(conn net.Conn) Conn {
 	return &tcpConn{
 		conn: conn,
 		enc:  gob.NewEncoder(conn),
 		dec:  gob.NewDecoder(conn),
-		opts: opts,
 	}
 }
 
 func (c *tcpConn) Send(m Message) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	if c.opts.WriteTimeout > 0 {
-		_ = c.conn.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout))
-	}
 	if err := c.enc.Encode(&m); err != nil {
 		return fmt.Errorf("transport: send: %w", err)
 	}
 	return nil
 }
 
+// Recv returns io.EOF only for a clean end: the peer closed at a message
+// boundary (gob reports a bare io.EOF), or this side closed the pipe. A
+// peer gone mid-message surfaces as io.ErrUnexpectedEOF, wrapped like any
+// other broken read.
 func (c *tcpConn) Recv() (Message, error) {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
-	if c.opts.ReadTimeout > 0 {
-		_ = c.conn.SetReadDeadline(time.Now().Add(c.opts.ReadTimeout))
-	}
 	var m Message
 	if err := c.dec.Decode(&m); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
+		if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
 			return Message{}, io.EOF
 		}
 		return Message{}, fmt.Errorf("transport: recv: %w", err)
@@ -204,22 +177,16 @@ func (c *tcpConn) Close() error { return c.conn.Close() }
 
 // Server accepts transport connections on a TCP listener.
 type Server struct {
-	ln   net.Listener
-	opts Options
+	ln net.Listener
 }
 
-// Listen starts a transport server on addr (e.g. "127.0.0.1:0") with
-// default options.
-func Listen(addr string) (*Server, error) { return ListenOpts(addr, Options{}) }
-
-// ListenOpts starts a transport server whose accepted connections use
-// the given timeout options.
-func ListenOpts(addr string, opts Options) (*Server, error) {
+// Listen starts a transport server on addr (e.g. "127.0.0.1:0").
+func Listen(addr string) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen: %w", err)
 	}
-	return &Server{ln: ln, opts: opts}, nil
+	return &Server{ln: ln}, nil
 }
 
 // Addr returns the bound address (useful with port 0).
@@ -227,44 +194,22 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Accept blocks for the next inbound connection.
 func (s *Server) Accept() (Conn, error) {
-	conn, err := s.acceptRaw()
-	if err != nil {
-		return nil, err
-	}
-	return newTCPConn(conn, s.opts), nil
-}
-
-// acceptRaw accepts the next inbound connection without gob framing
-// (used by the reliable layer, which runs its own frame codec).
-func (s *Server) acceptRaw() (net.Conn, error) {
 	conn, err := s.ln.Accept()
 	if err != nil {
 		return nil, fmt.Errorf("transport: accept: %w", err)
 	}
-	return conn, nil
+	return newTCPConn(conn), nil
 }
 
 // Close stops the listener.
 func (s *Server) Close() error { return s.ln.Close() }
 
-// Dial connects to a transport server with default options.
-func Dial(addr string) (Conn, error) { return DialOpts(addr, Options{}) }
-
-// DialOpts connects to a transport server, bounding the dial by
-// Options.DialTimeout and later reads/writes by the respective timeouts.
-func DialOpts(addr string, opts Options) (Conn, error) {
-	conn, err := dialRaw(addr, opts)
-	if err != nil {
-		return nil, err
-	}
-	return newTCPConn(conn, opts), nil
-}
-
-// dialRaw establishes the network connection without gob framing.
-func dialRaw(addr string, opts Options) (net.Conn, error) {
-	conn, err := net.DialTimeout("tcp", addr, opts.dialTimeout())
+// Dial connects to a transport server, giving up on establishment after
+// ten seconds. Reads and writes on the connection are unbounded.
+func Dial(addr string) (Conn, error) {
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial: %w", err)
 	}
-	return conn, nil
+	return newTCPConn(conn), nil
 }

@@ -214,7 +214,6 @@ func (o *obsSource) ObsFamilies() []obs.Family {
 				{Labels: obs.L("fault", "duplicated"), Value: float64(cc.Duplicated)},
 				{Labels: obs.L("fault", "delayed"), Value: float64(cc.Delayed)},
 				{Labels: obs.L("fault", "stalled"), Value: float64(cc.Stalled)},
-				{Labels: obs.L("fault", "resets"), Value: float64(cc.Resets)},
 			},
 		})
 	}
