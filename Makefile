@@ -84,11 +84,15 @@ chaos:
 ## chaos-split: the hot-key-splitting slice of the chaos matrix under the
 ## race detector — every fault profile with splitting enabled (the
 ## differential and store matrices' split=on rows), the
-## split→migrate→unsplit interleaving lifecycle, and the churn/retire
+## split→migrate→unsplit interleaving lifecycle, the churn/retire
 ## scenario (splits must cool, drain, and retire under every profile,
-## with the split table returning to empty — the bounded-memory check).
+## with the split table returning to empty — the bounded-memory check),
+## the monitors' work-driven split decision and its hot-set mirror at the
+## dispatcher, and the facade's TestSplit* runs (a key whose join work,
+## not its traffic, exceeds an instance's fair share splits; uniform input
+## never does; a steadily hot key never cools while its input holds).
 chaos-split:
-	$(GO) test -race -count=1 -timeout=15m ./internal/biclique \
+	$(GO) test -race -count=1 -timeout=15m ./internal/biclique . \
 		-run 'TestChaosDifferential/[a-z]+/split=on|TestChaosStoreDifferential/[a-z]+/[a-z]+/split=on|TestSplitMigrateUnsplitInterleaving|TestSplit|TestChaosChurnRetire|TestChurnRetireTraceSpans'
 
 ## chaos-stress: exactly-once under a busy box. Each round runs

@@ -167,8 +167,8 @@ func New(opts Options) (*System, error) {
 		SustainTicks: opts.Migration.SustainTicks,
 	}
 	split := biclique.SplitConfig{
-		Threshold: opts.Migration.SplitThreshold,
-		Ways:      opts.Migration.SplitWays,
+		Enabled: opts.Migration.SplitThreshold > 0,
+		Ways:    opts.Migration.SplitWays,
 	}
 	switch opts.Kind {
 	case KindFastJoin:

@@ -50,10 +50,10 @@ func benchmarkPipeline(b *testing.B, store StoreImpl, tuples []stream.Tuple) {
 		// Long stats interval: keep the periodic reporter out of the
 		// allocation profile so the comparison isolates the data plane.
 		cfg.StatsInterval = time.Second
-		// Splitting enabled so the ceiling covers the detector on the hot
-		// path; the sparse key space never crosses the threshold, so this
-		// prices sketch observation, not salted routing.
-		cfg.Split = SplitConfig{Threshold: 0.5, Ways: 2}
+		// Splitting enabled so the ceiling covers the split meter on the hot
+		// path; the sparse key space never makes a key hot, so this
+		// prices metering, not salted routing.
+		cfg.Split = SplitConfig{Enabled: true, Ways: 2}
 		// Observability on: the tracer must stay off the data plane, so
 		// the allocation ceiling holds with it attached.
 		cfg.Tracer = obs.NewTracer(0)

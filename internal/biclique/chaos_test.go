@@ -116,24 +116,27 @@ func runChaos(t *testing.T, profileName string, seed uint64, nTuples int, mutate
 }
 
 // enableSplit is the chaos matrix's split dimension: hot-key splitting
-// with a threshold the workload's hot keys (~50% of each dispatcher
-// task's traffic) clear comfortably, and a short detector epoch so the
-// handshake gets many retry rounds within a few thousand tuples even
-// when a profile drops intents or acks.
+// over eight instances per side, with the input paced. The workload's two
+// hot keys each do a quarter of a side's work, twice an instance's fair
+// share; the monitors split them on stats ticks, which an unpaced input
+// can outrun (see paced). The ticks are twice as far apart as the base's:
+// with twice the instances, that keeps the tick-driven control traffic —
+// which a delaying profile holds in flight, and the engine must see none
+// of in flight to settle — as dense as the base's.
 func enableSplit(cfg *Config) {
-	cfg.Split = SplitConfig{
-		Threshold:      0.15,
-		Ways:           2,
-		Epoch:          128,
-		SketchCapacity: 32,
+	cfg.JoinersPerSide = 8
+	cfg.StatsInterval = 2 * cfg.StatsInterval
+	cfg.Split = SplitConfig{Enabled: true, Ways: 2}
+	for i := range cfg.Sources {
+		cfg.Sources[i] = paced(cfg.Sources[i])
 	}
 }
 
 // TestChaosDifferential is the base matrix: every built-in fault profile
 // across {split off, split on} and a handful of seeds, each run checked
 // against the brute-force join. A split-enabled run must actually split
-// (the workload is skewed enough that a silent detector would void the
-// dimension) and must still emit exactly the reference pair set across
+// (the workload is skewed enough that a silent split decision would void
+// the dimension) and must still emit exactly the reference pair set across
 // every interleaving of split marks, migration fences, and faults.
 // Replay any failure with -chaos.profile/-chaos.seed.
 func TestChaosDifferential(t *testing.T) {
@@ -259,6 +262,7 @@ func TestChaosClassify(t *testing.T) {
 		{SplitIntent{}, chaos.ClassCommand},
 		{SplitAck{}, chaos.ClassReport},
 		{SplitDrained{}, chaos.ClassReport},
+		{HotKeys{}, chaos.ClassCommand},
 		{stream.Tuple{}, chaos.ClassOther},
 		{nil, chaos.ClassOther},
 	}

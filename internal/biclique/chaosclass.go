@@ -47,11 +47,10 @@ func ChaosClassify(value any) chaos.Class {
 		return chaos.ClassMarker
 	case RouteUpdate:
 		return chaos.ClassRouteUpdate
-	case MigrateCmd:
-		return chaos.ClassCommand
-	case SplitIntent:
-		// The split handshake's request leg: droppable like a MigrateCmd —
-		// the detector re-sends it every epoch until acked.
+	case MigrateCmd, SplitIntent, HotKeys:
+		// Instructions re-sent until they take effect: a monitor's command
+		// and hot set every tick (a late copy of either is recognized by
+		// its number), a split intent on every hot set until acked.
 		return chaos.ClassCommand
 	case LoadReport:
 		return chaos.ClassReport

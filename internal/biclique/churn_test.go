@@ -22,10 +22,9 @@ const churnWindow = 10 * time.Second
 
 // makeChurnWorkload is the retire scenario: a hot phase (first 40%, two
 // heavy hitters at ~50% bias) that forces splits, then a uniform cold
-// tail long enough — a dozen detector epochs per dispatcher task — that
-// every split key cools below the hysteresis and deactivates before the
-// traffic ends, even when a profile's drops push the activation several
-// epochs into the tail. Retirement then rides on wall clock alone: the
+// tail long enough — several stats ticks — that every split key cools
+// below the hysteresis and deactivates before the traffic ends, even when
+// a profile's drops push the activation several ticks into the tail. Retirement then rides on wall clock alone: the
 // window expires the residual shares and the drain handshake empties the
 // table.
 func makeChurnWorkload(n int, seed int64) []stream.Tuple {
@@ -96,8 +95,8 @@ func runChurn(t *testing.T, profileName string, seed uint64, mutate ...func(*Con
 	// dispatcher race the entire finite workload through before the owner
 	// joiner is ever scheduled, so the ack returns after the hot keys have
 	// cooled and the pending is abandoned — a void run. The sleep points
-	// (several per detector epoch) bound how far the dispatcher can run
-	// ahead of the handshake round trip.
+	// (several per stats tick) bound how far the dispatcher can run ahead
+	// of the handshake round trip.
 	cfg.Sources = []TupleSource{paced(sliceSource(tuples))}
 	sys, err := Start(cfg)
 	if err != nil {

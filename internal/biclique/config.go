@@ -106,31 +106,19 @@ type MigrationConfig struct {
 	MinBenefit int64
 }
 
-// SplitConfig controls hot-key splitting: the dispatcher-side heavy-hitter
-// detector and the salted split routing it switches detected keys to.
+// SplitConfig controls hot-key splitting: the side monitors' work-driven
+// split decision and the salted split routing it switches hot keys to.
 // Splitting is the escape hatch for the one workload whole-key migration
-// cannot fix — a single key hotter than one instance's capacity.
+// cannot fix — a single key hotter than one instance's fair share.
 type SplitConfig struct {
-	// Threshold enables splitting when positive: a key becomes a heavy
-	// hitter when its guaranteed frequency share of the observing
-	// dispatcher task's recent traffic reaches Threshold. Each key's
-	// traffic flows through exactly one dispatcher task, so a per-task
-	// sketch sees the key's full stream; the share is relative to that
-	// task's traffic, not the whole system's. A split key un-splits when
-	// its share decays below Threshold/2 (hysteresis). Requires
-	// StrategyHash.
-	Threshold float64
+	// Enabled turns splitting on: a key whose metered join work, summed
+	// over a side, clearly exceeds an instance's fair share of that side's
+	// work is split (monitorBolt.decideSplits), and un-splits once below
+	// half the fair share. Requires StrategyHash.
+	Enabled bool
 	// Ways is how many instances per side a split key's stores are salted
 	// over (and its probes broadcast to). Default min(4, JoinersPerSide).
 	Ways int
-	// Epoch is the number of routed tuples a dispatcher task observes
-	// between detector evaluations; every evaluation also halves the
-	// sketch (exponential decay in observation time — no wall clock in
-	// the decision path). Default 2048.
-	Epoch int
-	// SketchCapacity is the SpaceSaving counter budget (default 64; the
-	// detector's error bound is task-traffic/SketchCapacity per epoch).
-	SketchCapacity int
 }
 
 // DefaultBatchSize is the shuffler and dispatcher lane capacity used when
@@ -217,7 +205,8 @@ type Config struct {
 	// ServiceRate, when positive, emulates the per-node compute capacity
 	// of a real cluster: each join instance processes at most ServiceRate
 	// virtual ops per second (sleeping off any surplus), where a store
-	// costs 1 op and a probe costs 1 + MatchCost * scanned-tuples ops.
+	// costs 1 op and a probe 0.2 ops plus MatchCost per scanned tuple.
+	// These ops are also the unit of the split decision's work meter.
 	// This is the capacity model the benchmark harness uses so that the
 	// paper's cluster experiments reproduce on hosts with few cores: an
 	// overloaded instance saturates its own budget and backpressures,
@@ -292,25 +281,14 @@ func (c *Config) Validate() error {
 	if c.ServiceRate > 0 && c.MatchCost <= 0 {
 		c.MatchCost = 0.01
 	}
-	if c.Split.Threshold < 0 || c.Split.Threshold > 1 {
-		return fmt.Errorf("biclique: Split.Threshold %v outside [0, 1]", c.Split.Threshold)
-	}
-	if c.Split.Threshold > 0 {
+	if c.Split.Enabled {
 		if c.Strategy != StrategyHash {
 			return fmt.Errorf("biclique: hot-key splitting requires StrategyHash, not %v", c.Strategy)
 		}
 		if c.Split.Ways <= 0 {
 			c.Split.Ways = 4
 		}
-		if c.Split.Ways > c.JoinersPerSide {
-			c.Split.Ways = c.JoinersPerSide
-		}
-		if c.Split.Epoch <= 0 {
-			c.Split.Epoch = 2048
-		}
-		if c.Split.SketchCapacity <= 0 {
-			c.Split.SketchCapacity = 64
-		}
+		c.Split.Ways = min(c.Split.Ways, c.JoinersPerSide)
 	}
 	if c.Migration.Enabled {
 		if c.Migration.Selector == nil {
@@ -362,6 +340,7 @@ const (
 	streamSplitR   = "splitR"   // dispatcher -> joinerR (direct ctrl): split intents
 	streamSplitS   = "splitS"   // dispatcher -> joinerS (direct ctrl): split intents
 	streamRouteUpd = "routeupd" // joiners -> all dispatchers (ctrl)
+	streamHot      = "hot"      // monitors -> all dispatchers (ctrl): hot sets
 )
 
 // tupleStream returns the dispatcher->joiner stream for a side.
@@ -393,7 +372,7 @@ func cmdStream(side stream.Side) string {
 // ordering role (only the fenced SplitMark starts multi-copy routing),
 // and a control lane lets a backlogged owner ack while the key is still
 // hot — on a data lane the ack could trail the entire backlog and arrive
-// after the detector has already abandoned the pending.
+// after the key has cooled and the pending was abandoned.
 func splitStream(side stream.Side) string {
 	if side == stream.R {
 		return streamSplitR

@@ -121,8 +121,8 @@ type dispatcherBolt struct {
 	cfg    *Config
 	router routing.Router
 	met    *SystemMetrics
-	// split is the task's hot-key splitting state (see split.go), nil
-	// unless Config.Split.Threshold is set.
+	// split is the task's hot-key splitting state (see split.go), empty
+	// unless Config.Split.Enabled is set.
 	split *splitTable
 	ctx   engine.Context
 	buf   []int // reusable probe-target buffer
@@ -149,7 +149,7 @@ type batchLane struct {
 
 func newDispatcherBolt(cfg *Config, met *SystemMetrics) engine.BoltFactory {
 	return func(task int) engine.Bolt {
-		return &dispatcherBolt{cfg: cfg, met: met, router: newRouter(cfg, task), split: newSplitTable(cfg)}
+		return &dispatcherBolt{cfg: cfg, met: met, router: newRouter(cfg, task), split: newSplitTable()}
 	}
 }
 
@@ -206,6 +206,8 @@ func (b *dispatcherBolt) Execute(m engine.Message, out *engine.Collector) {
 		b.handleSplitAck(v, out)
 	case SplitDrained:
 		b.handleSplitDrained(v, out)
+	case HotKeys:
+		b.handleHotKeys(v, out)
 	default:
 		if m.Stream == engine.TickStream {
 			// Linger expired: ship whatever the lanes hold.
@@ -221,11 +223,10 @@ func (b *dispatcherBolt) routeTuple(t stream.Tuple, out *engine.Collector) {
 	now := stream.Now()
 	ownSide, oppSide := t.Side, t.Side.Opposite()
 
-	if b.split != nil {
-		// Feed the detector before emitting, so an activation triggered by
-		// this very tuple fences the lanes ahead of it.
-		b.observeSplit(t.Key, out)
-		if e := b.splitLookup(t.Key); e != nil {
+	// Residual entries still reroute probes (the members hold salted
+	// shares until they drain), so both states take the split path.
+	if len(b.split.entries) > 0 {
+		if e := b.split.entries[t.Key]; e != nil {
 			b.routeSplit(t, e, now, out)
 			return
 		}

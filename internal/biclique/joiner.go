@@ -71,6 +71,12 @@ type joinerBolt struct {
 	statScratch []core.KeyStat
 	probeMerge  map[stream.Key]int64
 
+	// Split meter (Config.Split.Enabled): the ops consume charged, in total
+	// and per key, in the capacity model's unit (Config.ServiceRate),
+	// halved on every stats tick so a bursty key's swings damp.
+	work    float64
+	workCur map[stream.Key]float64
+
 	// Migration source state. migEpoch is the ID of the last command this
 	// instance accepted, which is the epoch of its attempt: decision IDs
 	// are side-wide, so an epoch names one attempt on the whole side.
@@ -157,6 +163,7 @@ func (b *joinerBolt) Prepare(ctx engine.Context, _ *engine.Collector) {
 	b.probeCur = make(map[stream.Key]int64)
 	b.probePrev = make(map[stream.Key]int64)
 	b.probeMerge = make(map[stream.Key]int64)
+	b.workCur = make(map[stream.Key]float64)
 	b.splitTaint = make(map[stream.Key]bool)
 	b.splitActive = make(map[stream.Key]bool)
 	b.splitResidual = make(map[stream.Key]*residualDrain)
@@ -202,6 +209,17 @@ func (b *joinerBolt) consume(cost float64) {
 	if ahead > 2*time.Millisecond {
 		time.Sleep(ahead)
 	}
+}
+
+// charge consumes ops and, with splitting on, meters them on the key.
+//
+//lint:hotpath
+func (b *joinerBolt) charge(k stream.Key, cost float64) {
+	if b.cfg.Split.Enabled {
+		b.work += cost
+		b.workCur[k] += cost
+	}
+	b.consume(cost)
 }
 
 //lint:hotpath
@@ -304,7 +322,7 @@ func (b *joinerBolt) handleTuple(tm TupleMsg, out *engine.Collector) {
 	case OpStore:
 		b.store.Add(tm.T)
 		b.storedGauge().Add(1)
-		b.consume(1)
+		b.charge(key, 1)
 	case OpProbe:
 		b.probe(tm, out)
 	}
@@ -339,7 +357,7 @@ func (b *joinerBolt) probe(tm TupleMsg, out *engine.Collector) {
 	}
 	// A probe that finds an empty bucket is just a hash lookup — far
 	// cheaper than a store's insert — so its base cost is fractional.
-	b.consume(probeBaseCost + b.cfg.MatchCost*float64(b.probeScanned))
+	b.charge(key, probeBaseCost+b.cfg.MatchCost*float64(b.probeScanned))
 	if tm.Replayed {
 		// Migration replays carry SentAt stamps that are stale by the whole
 		// handshake; observing them would spike the tail of the latency
@@ -456,7 +474,7 @@ func (b *joinerBolt) handleSplitIntent(v SplitIntent, out *engine.Collector) {
 		return
 	}
 	b.taintSplit(v.Key, false)
-	out.Emit(streamRouteUpd, SplitAck{Side: b.side, Key: v.Key, Epoch: v.Epoch, From: b.ctx.Task})
+	out.Emit(streamRouteUpd, SplitAck{Side: b.side, Key: v.Key})
 }
 
 // taintSplit excludes a key from this instance's migration candidates,
@@ -799,6 +817,7 @@ func (b *joinerBolt) onTick(out *engine.Collector) {
 	if probe == 0 && b.probeEWMA > 0 {
 		probe = 1
 	}
+	work, keys := b.reportWork()
 	out.Emit(loadStream(b.side), LoadReport{
 		Side: b.side,
 		Done: b.done,
@@ -809,12 +828,32 @@ func (b *joinerBolt) onTick(out *engine.Collector) {
 		},
 		SplitKeys: len(b.splitActive),
 		Footprint: b.store.Footprint(),
+		Work:      work,
+		Keys:      keys,
 	})
 	b.probesInterval = 0
 	// Swap-and-clear instead of a fresh map: the interval maps are hot on
 	// every tick and their buckets are reusable as-is.
 	b.probePrev, b.probeCur = b.probeCur, b.probePrev
 	clear(b.probeCur)
+}
+
+// reportWork returns the split meter for a load report, then halves it:
+// the instance's work, and that of every tainted key (a split key's shares
+// sum over the side's reports) and of every key above this instance's work
+// over JoinersPerSide, the only unsplit keys that can exceed a fair share.
+func (b *joinerBolt) reportWork() (work float64, keys []KeyWork) {
+	work, b.work = b.work, b.work/2
+	for k, w := range b.workCur {
+		if w*float64(b.cfg.JoinersPerSide) > work || b.splitTaint[k] {
+			keys = append(keys, KeyWork{Key: k, Work: w})
+		}
+		b.workCur[k] = w / 2
+		if w < 2 {
+			delete(b.workCur, k) // under one op once halved: forgotten
+		}
+	}
+	return work, keys
 }
 
 // drainResiduals advances the open drain rounds on a stats tick: the

@@ -156,6 +156,31 @@ type LoadReport struct {
 	// Footprint is the instance's store memory: what it holds on to and how
 	// much of that is resident tuples. Exported per instance on /metrics.
 	Footprint window.Footprint
+	// Work is the instance's metered join work and Keys that of the keys
+	// the split decision needs (joinerBolt.reportWork); both stay empty
+	// while splitting is off.
+	Work float64
+	Keys []KeyWork
+}
+
+// KeyWork is one key's metered join work (see joinerBolt.work); in a
+// HotKeys message it is summed over the side, and Hot marks the hot set.
+type KeyWork struct {
+	Key  stream.Key
+	Work float64
+	Hot  bool
+}
+
+// HotKeys is a side monitor's split decision, broadcast to every
+// dispatcher task each stats tick: the keys the side's reports named,
+// sorted, their work summed over the side, and Fair, an instance's fair
+// share of the side's work. Seq numbers the ticks, so a delayed copy
+// never rolls a newer decision back.
+type HotKeys struct {
+	Side stream.Side
+	Seq  uint64
+	Fair float64
+	Keys []KeyWork
 }
 
 // MigrateCmd is the monitor's instruction to the heaviest instance: run the
@@ -235,17 +260,16 @@ type Marker struct {
 	Epoch uint64
 }
 
-// SplitIntent opens the hot-key splitting handshake: a dispatcher task
-// that detected a heavy hitter asks the key's current owner in one side
-// group for permission to split. It rides the data lane to the owner and
-// is re-sent every detector epoch until the SplitAck arrives, so a lost
-// intent (or an owner that was mid-migration and stayed silent) only
-// delays the split. Epoch is the dispatcher's split-decision epoch, for
-// diagnostics; the handshake itself is idempotent per key.
+// SplitIntent opens the hot-key splitting handshake: the dispatcher task
+// routing a key a monitor holds hot asks the key's current owner in one
+// side group for permission to split. It rides a control lane to the
+// owner and is re-sent on every hot-set message until the SplitAck
+// arrives, so a lost intent (or an owner that was mid-migration and
+// stayed silent) only delays the split. The handshake is idempotent per
+// key.
 type SplitIntent struct {
-	Side  stream.Side
-	Key   stream.Key
-	Epoch uint64
+	Side stream.Side
+	Key  stream.Key
 }
 
 // SplitAck is the owner's permission to split: it is sent only when no
@@ -258,10 +282,8 @@ type SplitIntent struct {
 // no migration of the key can ever start again — the fencing order the
 // split/migrate interleaving tests pin down.
 type SplitAck struct {
-	Side  stream.Side
-	Key   stream.Key
-	Epoch uint64
-	From  int // acking join instance
+	Side stream.Side
+	Key  stream.Key
 }
 
 // SplitMark activates split routing for one key at one join instance. It
@@ -273,9 +295,8 @@ type SplitAck struct {
 // and SAFit candidate sets) for as long as the instance may hold salted
 // tuples of it.
 type SplitMark struct {
-	Side  stream.Side
-	Key   stream.Key
-	Epoch uint64
+	Side stream.Side
+	Key  stream.Key
 }
 
 // UnsplitMark deactivates split routing for a cooled key: store salting
@@ -290,9 +311,8 @@ type SplitMark struct {
 // mark rides behind the final salted store — member emptiness is
 // monotone from the moment the mark lands.
 type UnsplitMark struct {
-	Side  stream.Side
-	Key   stream.Key
-	Epoch uint64
+	Side stream.Side
+	Key  stream.Key
 	// Gen numbers the key's residual round, drawn from a dispatcher-task
 	// counter that is monotone for the task's lifetime (it survives the
 	// key's retirement). SplitDrained reports echo it, so a report from

@@ -1,7 +1,9 @@
 package biclique
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"time"
 
 	"fastjoin/internal/core"
@@ -35,7 +37,7 @@ type monitorBolt struct {
 	met  *SystemMetrics
 
 	mon    *core.Monitor
-	latest map[int]core.InstanceLoad
+	latest map[int]LoadReport
 
 	// loadScratch is the tick's load-table snapshot, reused across ticks:
 	// Imbalance, RecordLoads, and Evaluate all copy what they keep.
@@ -43,6 +45,11 @@ type monitorBolt struct {
 
 	// cmd is the latest decision's command, re-sent while it is in flight.
 	cmd MigrateCmd
+
+	// hot is the side's split decision (Config.Split.Enabled), hotSeq the
+	// number of its last broadcast.
+	hot    map[stream.Key]bool
+	hotSeq uint64
 }
 
 func newMonitorFactory(cfg *Config, side stream.Side, met *SystemMetrics) engine.BoltFactory {
@@ -52,7 +59,8 @@ func newMonitorFactory(cfg *Config, side stream.Side, met *SystemMetrics) engine
 			side:   side,
 			met:    met,
 			mon:    core.NewMonitor(cfg.Migration.Policy),
-			latest: make(map[int]core.InstanceLoad),
+			latest: make(map[int]LoadReport),
+			hot:    make(map[stream.Key]bool),
 		}
 	}
 }
@@ -62,7 +70,7 @@ func (b *monitorBolt) Prepare(engine.Context, *engine.Collector) {}
 func (b *monitorBolt) Execute(m engine.Message, out *engine.Collector) {
 	switch v := m.Value.(type) {
 	case LoadReport:
-		b.latest[v.Load.Instance] = v.Load
+		b.latest[v.Load.Instance] = v
 		b.met.RecordSplitReport(b.side, v.Load.Instance, v.SplitKeys)
 		b.met.RecordStoreFootprint(b.side, v.Load.Instance, v.Footprint)
 		if b.mon.Done(v.Done) {
@@ -96,11 +104,14 @@ func (b *monitorBolt) onTick(out *engine.Collector) {
 	if len(b.latest) < b.cfg.JoinersPerSide {
 		return // not all instances have reported yet
 	}
+	if b.cfg.Split.Enabled {
+		out.Emit(streamHot, b.decideSplits())
+	}
 	loads := b.loadScratch[:0]
 	var total int64
-	for _, l := range b.latest {
-		loads = append(loads, l)
-		total += l.Load()
+	for _, r := range b.latest {
+		loads = append(loads, r.Load)
+		total += r.Load.Load()
 	}
 	b.loadScratch = loads
 	if total == 0 {
@@ -127,6 +138,39 @@ func (b *monitorBolt) onTick(out *engine.Collector) {
 		}
 		out.EmitDirect(cmdStream(b.side), d.Source.Instance, b.cmd)
 	}
+}
+
+// decideSplits is the side's split decision, Eq. 1's load model per key:
+// a key whose work, summed over the side's reports, exceeds an instance's
+// fair share of the side's work — which no placement of the whole key can
+// balance — by more than chance (3·√fair, three spreads of a store count
+// that size) joins the hot set, and leaves it below half the fair share
+// or idle. The set goes to every dispatcher task each tick.
+func (b *monitorBolt) decideSplits() HotKeys {
+	work := make(map[stream.Key]float64, len(b.hot))
+	for k := range b.hot {
+		work[k] = 0 // a hot key no report names did no work
+	}
+	var total float64
+	for _, r := range b.latest {
+		total += r.Work
+		for _, kw := range r.Keys {
+			work[kw.Key] += kw.Work
+		}
+	}
+	fair := total / float64(b.cfg.JoinersPerSide)
+	keys := make([]KeyWork, 0, len(work))
+	for k, w := range work {
+		if w-fair > 3*math.Sqrt(fair) {
+			b.hot[k] = true
+		} else if w == 0 || 2*w < fair {
+			delete(b.hot, k)
+		}
+		keys = append(keys, KeyWork{Key: k, Work: w, Hot: b.hot[k]})
+	}
+	slices.SortFunc(keys, func(a, b KeyWork) int { return cmp.Compare(a.Key, b.Key) })
+	b.hotSeq++
+	return HotKeys{Side: b.side, Seq: b.hotSeq, Fair: fair, Keys: keys}
 }
 
 func (b *monitorBolt) Cleanup() {}

@@ -11,14 +11,14 @@ import (
 )
 
 // newRetireTestDispatcher is newTestDispatcher with a config hook, for
-// tests that need a tracer or a non-standard detector shape.
+// tests that need a tracer or a non-standard shape.
 func newRetireTestDispatcher(t *testing.T, mutate func(*Config)) *dispatcherBolt {
 	t.Helper()
 	cfg := Config{
 		Sources:        []TupleSource{func() (stream.Tuple, bool) { return stream.Tuple{}, false }},
 		JoinersPerSide: 4,
 		Strategy:       StrategyHash,
-		Split:          SplitConfig{Threshold: 0.2, Ways: 2, Epoch: 64, SketchCapacity: 16},
+		Split:          SplitConfig{Enabled: true, Ways: 2},
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -36,9 +36,9 @@ func newRetireTestDispatcher(t *testing.T, mutate func(*Config)) *dispatcherBolt
 func activateEntry(t *testing.T, b *dispatcherBolt, k stream.Key) *splitEntry {
 	t.Helper()
 	out := engine.NullCollector()
-	b.split.pending[k] = new(pendingSplit)
-	b.Execute(engine.Message{Stream: streamRouteUpd, Value: SplitAck{Side: stream.R, Key: k, From: 0}}, out)
-	b.Execute(engine.Message{Stream: streamRouteUpd, Value: SplitAck{Side: stream.S, Key: k, From: 0}}, out)
+	b.split.pending[k] = new(splitEntry)
+	b.Execute(engine.Message{Stream: streamRouteUpd, Value: SplitAck{Side: stream.R, Key: k}}, out)
+	b.Execute(engine.Message{Stream: streamRouteUpd, Value: SplitAck{Side: stream.S, Key: k}}, out)
 	e := b.split.entries[k]
 	if e == nil || !e.active {
 		t.Fatalf("handshake did not activate key %d: %+v", k, e)
@@ -172,7 +172,7 @@ func TestSplitReheatVoidsDrainRound(t *testing.T) {
 		t.Fatal("genuine gen-1 report not recorded")
 	}
 
-	// Reheat: the entries branch of evalSplit calls activateSplit directly.
+	// Reheat: the entries branch of handleHotKeys calls activateSplit directly.
 	b.activateSplit(k, e, out)
 	if !e.active {
 		t.Fatal("reheat must re-activate")
@@ -257,14 +257,15 @@ func TestSplitRetireThenResplitStaleDrain(t *testing.T) {
 	}
 }
 
-// TestEvalSplitDeterministicOrder: evalSplit walks the pending and entry
-// maps in sorted key order, so with two or more heavy hitters in flight
-// the control messages (and their trace events) leave in the same order
-// on every seeded replay. The abandon and residual events are emitted
-// inside those same loops, so their order pins the iteration order.
+// TestEvalSplitDeterministicOrder: handleHotKeys walks the pending and entry
+// maps in sorted key order, so with two or more hot keys in flight the
+// control messages (and their trace events) leave in the same order on
+// every seeded replay. The abandon and residual events are emitted inside
+// those same loops, so their order pins the iteration order.
 func TestEvalSplitDeterministicOrder(t *testing.T) {
 	tr := obs.NewTracer(4096)
-	b := newRetireTestDispatcher(t, func(c *Config) { c.Tracer = tr })
+	// One dispatcher task: it routes every key.
+	b := newRetireTestDispatcher(t, func(c *Config) { c.Tracer = tr; c.Dispatchers = 1 })
 	out := engine.NullCollector()
 
 	// Two active entries, created in descending key order to rule out
@@ -274,30 +275,26 @@ func TestEvalSplitDeterministicOrder(t *testing.T) {
 		b.split.entries[k] = e
 		b.activateSplit(k, e, out)
 	}
-	// Epoch 1: keys 3 and 5 hot (half the epoch each) — both promoted to
-	// pending; keys 1 and 9 see no traffic, decay out of the sketch, and
-	// deactivate in the same evaluation.
-	for i := 0; i < b.cfg.Split.Epoch; i++ {
-		k := stream.Key(3)
-		if i%2 == 0 {
-			k = 5
-		}
-		b.observeSplit(k, out)
-	}
-	// Epoch 2: only a fresh key — the pendings for 3 and 5 cool below the
-	// threshold and are abandoned.
-	for i := 0; i < b.cfg.Split.Epoch; i++ {
-		b.observeSplit(stream.Key(100), out)
-	}
+	// Tick 1: keys 5 and 3 hot — both promoted to pending; keys 1 and 9
+	// left the hot set and deactivate in the same evaluation.
+	sendHotKeys(b, hotKeys(stream.R, 1, []stream.Key{5, 3}))
+	// Tick 2: only a fresh key is hot — the pendings for 3 and 5 cooled
+	// and are abandoned.
+	sendHotKeys(b, hotKeys(stream.R, 2, []stream.Key{100}))
 
-	var residuals, abandons []stream.Key
+	var pendings, residuals, abandons []stream.Key
 	for _, ev := range tr.Snapshot() {
 		switch ev.Kind {
+		case obs.KindSplitPending:
+			pendings = append(pendings, stream.Key(ev.Key))
 		case obs.KindSplitResidual:
 			residuals = append(residuals, stream.Key(ev.Key))
 		case obs.KindSplitAbandon:
 			abandons = append(abandons, stream.Key(ev.Key))
 		}
+	}
+	if !slices.Equal(pendings, []stream.Key{3, 5, 100}) {
+		t.Fatalf("promotions out of sorted order: %v, want [3 5 100]", pendings)
 	}
 	if !slices.Equal(residuals, []stream.Key{1, 9}) {
 		t.Fatalf("deactivations out of sorted order: %v, want [1 9]", residuals)
@@ -307,37 +304,31 @@ func TestEvalSplitDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestUnsplitHysteresisSmallTotal pins the dead-zone clamp: with a tiny
-// epoch the threshold bottoms out at 1 and the unclamped half-threshold
-// would be 0 — a comparison no tracked count can ever lose. An active key
-// whose traffic vanishes must still deactivate within a few epochs (via
-// sketch decay), never stay split forever.
+// TestUnsplitHysteresisSmallTotal pins the idle clamp: once every report
+// reads zero work the fair share is 0 and "below half the fair share"
+// (0 < 0) can never hold. An active key whose traffic vanished must still
+// leave the hot set and deactivate at the dispatcher, never stay split
+// forever — while a tick whose total was a single op, all of it the key's,
+// keeps it.
 func TestUnsplitHysteresisSmallTotal(t *testing.T) {
-	b := newRetireTestDispatcher(t, func(c *Config) {
-		c.Split = SplitConfig{Threshold: 0.1, Ways: 2, Epoch: 8, SketchCapacity: 4}
-	})
-	out := engine.NullCollector()
+	mon := newSplitTestMonitor(t)
+	b := newRetireTestDispatcher(t, func(c *Config) { c.Dispatchers = 1 })
 	const k = stream.Key(1)
 
 	e := new(splitEntry)
 	b.split.entries[k] = e
-	b.activateSplit(k, e, out)
-	// One epoch of the key's own traffic, then nothing but cold keys.
-	for i := 0; i < b.cfg.Split.Epoch; i++ {
-		b.observeSplit(k, out)
-	}
-	if !e.active {
-		t.Fatal("key deactivated while it carried the whole epoch")
-	}
-	next := stream.Key(1000)
-	for epoch := 0; epoch < 20 && e.active; epoch++ {
-		for i := 0; i < b.cfg.Split.Epoch; i++ {
-			b.observeSplit(next, out)
-			next++
+	b.activateSplit(k, e, engine.NullCollector())
+	for _, w := range []float64{100, 1} { // the key does all the side's work
+		reportWork(mon, []float64{w, 0, 0, 0}, []KeyWork{{Key: k, Work: w}})
+		sendHotKeys(b, mon.decideSplits())
+		if !e.active {
+			t.Fatalf("key deactivated while it carried the side's whole work (%v ops)", w)
 		}
 	}
+	reportWork(mon, []float64{0, 0, 0, 0})
+	sendHotKeys(b, mon.decideSplits())
 	if e.active {
-		t.Fatal("active key with zero traffic never deactivated under a tiny total")
+		t.Fatal("active key with zero traffic never deactivated")
 	}
 	if got := b.met.ResidualKeys.Value(); got != 1 {
 		t.Fatalf("ResidualKeys = %d, want 1", got)
@@ -382,28 +373,24 @@ func TestFilterFrozenKeysNoRetention(t *testing.T) {
 }
 
 // TestSketchReheatReactivatesResidual drives the cool-then-reheat path
-// through the detector itself: an active key decays out under cold
-// traffic (deactivating to residual), then a burst of its own traffic
-// re-activates it through the entries branch of evalSplit — no new
-// handshake, gauges consistent at every step.
+// through the hot sets: an active key stays split while either side holds
+// it hot, deactivates to residual once neither does, and re-activates
+// through the entries branch of handleHotKeys when a set names it again — no
+// new handshake, gauges consistent at every step.
 func TestSketchReheatReactivatesResidual(t *testing.T) {
 	b := newRetireTestDispatcher(t, nil)
-	out := engine.NullCollector()
-	const k = stream.Key(7)
+	const k = stream.Key(8) // task 0 of 2 routes the even keys
 
 	e := activateEntry(t, b, k)
 	if got := b.met.SplitKeys.Value(); got != 1 {
 		t.Fatalf("SplitKeys = %d, want 1", got)
 	}
-
-	// Cold traffic until the key decays below the hysteresis and cools.
-	next := stream.Key(1000)
-	for epoch := 0; epoch < 20 && e.active; epoch++ {
-		for i := 0; i < b.cfg.Split.Epoch; i++ {
-			b.observeSplit(next, out)
-			next++
-		}
+	sendHotKeys(b, hotKeys(stream.R, 1, []stream.Key{k}), hotKeys(stream.S, 1, []stream.Key{k}))
+	sendHotKeys(b, hotKeys(stream.R, 2, nil, k))
+	if !e.active {
+		t.Fatal("key cooled while side S still held it hot")
 	}
+	sendHotKeys(b, hotKeys(stream.S, 2, nil, k))
 	if e.active {
 		t.Fatal("key never cooled to residual")
 	}
@@ -414,15 +401,7 @@ func TestSketchReheatReactivatesResidual(t *testing.T) {
 		t.Fatalf("ResidualKeys after cooldown = %d, want 1", got)
 	}
 
-	// Reheat: three quarters of an epoch is the key's own traffic.
-	for i := 0; i < b.cfg.Split.Epoch; i++ {
-		kk := k
-		if i%4 == 0 {
-			kk = next
-			next++
-		}
-		b.observeSplit(kk, out)
-	}
+	sendHotKeys(b, hotKeys(stream.S, 3, []stream.Key{k}))
 	if !e.active {
 		t.Fatal("reheated residual key did not re-activate")
 	}
@@ -453,8 +432,8 @@ func TestJoinerDrainLifecycle(t *testing.T) {
 
 	// A salted share old enough that the first Advance expires it.
 	b.store.Add(stream.Tuple{Side: stream.R, Key: k, Seq: 0, EventTime: stream.Now() - int64(200*time.Millisecond)})
-	b.Execute(engine.Message{Stream: tupleStream(stream.R), Value: SplitMark{Side: stream.R, Key: k, Epoch: 1}}, out)
-	b.Execute(engine.Message{Stream: tupleStream(stream.R), Value: UnsplitMark{Side: stream.R, Key: k, Epoch: 2, Gen: 1, Owner: 1}}, out)
+	b.Execute(engine.Message{Stream: tupleStream(stream.R), Value: SplitMark{Side: stream.R, Key: k}}, out)
+	b.Execute(engine.Message{Stream: tupleStream(stream.R), Value: UnsplitMark{Side: stream.R, Key: k, Gen: 1, Owner: 1}}, out)
 	rd := b.splitResidual[k]
 	if rd == nil || rd.drained {
 		t.Fatalf("member with a live share must arm an undrained round, got %+v", rd)
@@ -496,8 +475,8 @@ func TestJoinerRetireKeepsOwnerProbeStats(t *testing.T) {
 	const k = stream.Key(4)
 
 	// Owner path: Owner == this task, so no drain round ever opens here.
-	b.Execute(engine.Message{Stream: tupleStream(stream.R), Value: SplitMark{Side: stream.R, Key: k, Epoch: 1}}, out)
-	b.Execute(engine.Message{Stream: tupleStream(stream.R), Value: UnsplitMark{Side: stream.R, Key: k, Epoch: 2, Gen: 1, Owner: 0}}, out)
+	b.Execute(engine.Message{Stream: tupleStream(stream.R), Value: SplitMark{Side: stream.R, Key: k}}, out)
+	b.Execute(engine.Message{Stream: tupleStream(stream.R), Value: UnsplitMark{Side: stream.R, Key: k, Gen: 1, Owner: 0}}, out)
 	b.probeCur[k] = 7
 	b.probePrev[k] = 5
 	b.Execute(engine.Message{Stream: tupleStream(stream.R), Value: SplitRetire{Side: stream.R, Key: k, Gen: 1}}, out)
@@ -523,17 +502,17 @@ func TestDrainResidualsStaleWatchNotification(t *testing.T) {
 	// Round 1: a live share arms the watch, then the share vanishes — the
 	// watch fires into the store's queue (one-shot, now disarmed).
 	b.store.Add(stream.Tuple{Side: stream.R, Key: k, Seq: 0, EventTime: stream.Now()})
-	b.Execute(engine.Message{Stream: tupleStream(stream.R), Value: UnsplitMark{Side: stream.R, Key: k, Epoch: 2, Gen: 1, Owner: 1}}, out)
+	b.Execute(engine.Message{Stream: tupleStream(stream.R), Value: UnsplitMark{Side: stream.R, Key: k, Gen: 1, Owner: 1}}, out)
 	b.store.RemoveKey(k)
 
 	// Reheat before any tick consumed the queue: the round is cancelled
 	// (UnwatchKey leaves the queued notification in place, per contract)
 	// and a fresh salted share lands.
-	b.Execute(engine.Message{Stream: tupleStream(stream.R), Value: SplitMark{Side: stream.R, Key: k, Epoch: 3}}, out)
+	b.Execute(engine.Message{Stream: tupleStream(stream.R), Value: SplitMark{Side: stream.R, Key: k}}, out)
 	b.store.Add(stream.Tuple{Side: stream.R, Key: k, Seq: 1, EventTime: stream.Now()})
 
 	// Round 2 arms on the live share.
-	b.Execute(engine.Message{Stream: tupleStream(stream.R), Value: UnsplitMark{Side: stream.R, Key: k, Epoch: 4, Gen: 2, Owner: 1}}, out)
+	b.Execute(engine.Message{Stream: tupleStream(stream.R), Value: UnsplitMark{Side: stream.R, Key: k, Gen: 2, Owner: 1}}, out)
 	rd := b.splitResidual[k]
 	if rd == nil || rd.drained {
 		t.Fatalf("round 2 must arm undrained on a live share, got %+v", rd)
@@ -562,8 +541,8 @@ func TestJoinerDrainEdgeCases(t *testing.T) {
 	out := engine.NullCollector()
 
 	// Owner path: Owner == this task — no round opens.
-	b.Execute(engine.Message{Stream: tupleStream(stream.R), Value: SplitMark{Side: stream.R, Key: 1, Epoch: 1}}, out)
-	b.Execute(engine.Message{Stream: tupleStream(stream.R), Value: UnsplitMark{Side: stream.R, Key: 1, Epoch: 2, Gen: 1, Owner: 0}}, out)
+	b.Execute(engine.Message{Stream: tupleStream(stream.R), Value: SplitMark{Side: stream.R, Key: 1}}, out)
+	b.Execute(engine.Message{Stream: tupleStream(stream.R), Value: UnsplitMark{Side: stream.R, Key: 1, Gen: 1, Owner: 0}}, out)
 	if b.splitResidual[1] != nil {
 		t.Fatal("the owner must not open a drain round for its own key")
 	}
@@ -575,7 +554,7 @@ func TestJoinerDrainEdgeCases(t *testing.T) {
 	}
 
 	// Probe-only member: no stored share, drained from the first tick.
-	b.Execute(engine.Message{Stream: tupleStream(stream.R), Value: UnsplitMark{Side: stream.R, Key: 2, Epoch: 2, Gen: 3, Owner: 1}}, out)
+	b.Execute(engine.Message{Stream: tupleStream(stream.R), Value: UnsplitMark{Side: stream.R, Key: 2, Gen: 3, Owner: 1}}, out)
 	rd := b.splitResidual[2]
 	if rd == nil || !rd.drained || rd.gen != 3 {
 		t.Fatalf("member without a share must report drained immediately, got %+v", rd)
@@ -583,11 +562,11 @@ func TestJoinerDrainEdgeCases(t *testing.T) {
 
 	// Reheat: a SplitMark lands while a round is open — the round dies.
 	b.store.Add(stream.Tuple{Side: stream.R, Key: 3, Seq: 1, EventTime: stream.Now()})
-	b.Execute(engine.Message{Stream: tupleStream(stream.R), Value: UnsplitMark{Side: stream.R, Key: 3, Epoch: 2, Gen: 1, Owner: 1}}, out)
+	b.Execute(engine.Message{Stream: tupleStream(stream.R), Value: UnsplitMark{Side: stream.R, Key: 3, Gen: 1, Owner: 1}}, out)
 	if b.splitResidual[3] == nil {
 		t.Fatal("round must open for the stored share")
 	}
-	b.Execute(engine.Message{Stream: tupleStream(stream.R), Value: SplitMark{Side: stream.R, Key: 3, Epoch: 3}}, out)
+	b.Execute(engine.Message{Stream: tupleStream(stream.R), Value: SplitMark{Side: stream.R, Key: 3}}, out)
 	if b.splitResidual[3] != nil {
 		t.Fatal("reheat SplitMark must cancel the open drain round")
 	}

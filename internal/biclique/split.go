@@ -1,12 +1,12 @@
 package biclique
 
 import (
+	"cmp"
 	"slices"
 
 	"fastjoin/internal/engine"
 	"fastjoin/internal/obs"
 	"fastjoin/internal/routing"
-	"fastjoin/internal/sketch"
 	"fastjoin/internal/stream"
 )
 
@@ -14,32 +14,29 @@ import (
 // walks them.
 var splitSides = [2]stream.Side{stream.R, stream.S}
 
-// splitTable is a dispatcher task's hot-key splitting state: the decayed
-// SpaceSaving sketch that detects heavy hitters in the task's own key
-// traffic, the handshakes in flight, and the per-key split entries that
-// rewrite routing once a split activates.
-//
-// All traffic of one key flows through a single dispatcher task (the
-// shuffler's key→task mapping), so the split state of a key lives at
-// exactly one task and needs no cross-task coordination. Decisions are
-// driven by observation counts, never wall clock, so a seeded run replays
-// the same splits under the chaos harness.
+// splitTable is a dispatcher task's hot-key splitting state: the newest
+// hot set of each side's monitor (monitorBolt.decideSplits; a key is hot
+// while either set holds it), the handshakes in flight, and the per-key
+// split entries that rewrite routing once a split activates. All traffic
+// of one key flows through a single dispatcher task (the shuffler's
+// key→task mapping), so each task acts only on the keys it routes and a
+// key's split state needs no cross-task coordination.
 //
 // A key moves through a five-state lifecycle:
 //
-//	pending  — the sketch crossed the threshold; SplitIntents are re-sent
-//	           to both side groups' current owners every detector epoch
-//	           until both SplitAcks arrive. An owner acks only when no
-//	           migration involving the key is in flight there, and the
-//	           ack permanently taints the key against migration selection
-//	           at that instance — so once both acks are in, no migration
-//	           of the key can ever start again.
+//	pending  — the key became hot; SplitIntents are re-sent to both side
+//	           groups' current owners on every hot-set message until both
+//	           SplitAcks arrive. An owner acks only when no migration
+//	           involving the key is in flight there, and the ack
+//	           permanently taints the key against migration selection at
+//	           that instance — so once both acks are in, no migration of
+//	           the key can ever start again.
 //	active   — both owners acked: open batches flush, SplitMarks fence
 //	           every lane to the owner and the salt members of both
 //	           sides, stores salt round-robin across the members, probes
 //	           fan out to owner plus members.
-//	residual — the key cooled below half the threshold: stores return to
-//	           the owner, but the members keep their salted shares, keep
+//	residual — the key left both hot sets: stores return to the owner,
+//	           but the members keep their salted shares, keep
 //	           receiving probes, and stay tainted. A residual key that
 //	           reheats re-activates without a new handshake.
 //	draining — a residual member whose last salted share expired from its
@@ -55,14 +52,9 @@ var splitSides = [2]stream.Side{stream.R, stream.S}
 // tuples are spread over several instances would strand the shares the
 // update's source never knew about. Retirement is what unfreezes them.
 type splitTable struct {
-	sk        *sketch.SpaceSaving
-	threshold float64
-	ways      int
-	epochLen  int
-	sinceEval int
-	epoch     uint64
+	hot [2]HotKeys
 
-	pending map[stream.Key]*pendingSplit
+	pending map[stream.Key]*splitEntry
 	entries map[stream.Key]*splitEntry
 
 	// spanSeq numbers this task's split-lifecycle trace spans; each
@@ -82,22 +74,17 @@ type splitTable struct {
 	// are broadcast values shared across dispatcher tasks and must not be
 	// mutated in place.
 	frozenScratch []stream.Key
-	// keyScratch backs evalSplit's sorted iteration over the pending and
+	// keyScratch backs handleHotKeys' sorted iteration over the pending and
 	// entries maps: control messages must leave in a deterministic order
 	// so seeded chaos runs replay byte-identically with ≥2 hot keys.
 	keyScratch []stream.Key
 }
 
-// pendingSplit tracks one key's intent/ack handshake.
-type pendingSplit struct {
-	acked [2]bool
-	// span is the key's split-lifecycle trace span, opened at promotion
-	// and inherited by the splitEntry on activation.
-	span obs.SpanID
-}
-
-// splitEntry is one split key's routing state.
+// splitEntry is one split key's state: its handshake while pending, its
+// routing once the split activates.
 type splitEntry struct {
+	// acked records the owners' SplitAcks while the key is pending.
+	acked  [2]bool
 	active bool
 	// members holds the salt member set per side group — the key's
 	// ContRand subgroup of Split.Ways instances, the same deterministic
@@ -116,91 +103,48 @@ type splitEntry struct {
 	// share of the current generation has expired. Cleared on every
 	// deactivation (a new round) and on reactivation.
 	drained [2]map[int]bool
-	// span is the key's split-lifecycle trace span (see pendingSplit).
+	// span is the key's split-lifecycle trace span, opened at promotion.
 	span obs.SpanID
 }
 
-func newSplitTable(cfg *Config) *splitTable {
-	if cfg.Split.Threshold <= 0 {
-		return nil
-	}
+func newSplitTable() *splitTable {
 	return &splitTable{
-		sk:        sketch.New(cfg.Split.SketchCapacity),
-		threshold: cfg.Split.Threshold,
-		ways:      cfg.Split.Ways,
-		epochLen:  cfg.Split.Epoch,
-		pending:   make(map[stream.Key]*pendingSplit),
-		entries:   make(map[stream.Key]*splitEntry),
+		pending: make(map[stream.Key]*splitEntry),
+		entries: make(map[stream.Key]*splitEntry),
 	}
 }
 
-// observeSplit feeds one routed tuple into the detector and runs the
-// epoch evaluation at the boundary. Called before the tuple is emitted,
-// so an activation's marks fence the lanes ahead of the very tuple that
-// tipped the key over.
-//
-//lint:hotpath
-func (b *dispatcherBolt) observeSplit(key stream.Key, out *engine.Collector) {
+// handleHotKeys mirrors one side monitor's newest hot set (a delayed
+// older copy cannot roll it back) and evaluates this task's keys: promote
+// the newly hot to pending, drive the pending handshakes, and cool the
+// split keys neither side holds hot any more.
+func (b *dispatcherBolt) handleHotKeys(v HotKeys, out *engine.Collector) {
 	sp := b.split
-	sp.sk.Observe(key)
-	sp.sinceEval++
-	if sp.sinceEval >= sp.epochLen {
-		sp.sinceEval = 0
-		sp.epoch++
-		b.evalSplit(out)
-		sp.sk.Halve()
-	}
-}
-
-// splitLookup returns the split entry routeTuple must honor, or nil for
-// the common unsplit key. Residual entries still reroute probes (the
-// members hold salted shares until the system ends), so both states hit
-// the split path.
-//
-//lint:hotpath
-func (b *dispatcherBolt) splitLookup(key stream.Key) *splitEntry {
-	if len(b.split.entries) == 0 {
-		return nil
-	}
-	return b.split.entries[key]
-}
-
-// evalSplit runs once per detector epoch: promote fresh heavy hitters to
-// pending, drive the pending handshakes, and cool down split keys whose
-// share collapsed.
-func (b *dispatcherBolt) evalSplit(out *engine.Collector) {
-	sp := b.split
-	total := sp.sk.Total()
-	if total == 0 {
+	if v.Seq <= sp.hot[v.Side].Seq {
 		return
 	}
-	th := int64(sp.threshold * float64(total))
-	if th < 1 {
-		th = 1
-	}
-	// Guaranteed-count test (count − err): SpaceSaving overestimates, so
-	// gating on the guaranteed floor keeps false splits out at the cost
-	// of detecting a genuine heavy hitter an epoch later.
-	sp.sk.ForEach(func(k stream.Key, count, err int64) {
-		if count-err < th {
-			return
-		}
-		if e, ok := sp.entries[k]; ok {
-			if !e.active {
-				// A residual key reheated: its members are tainted and
-				// still covered by probes, so re-activation needs no new
-				// handshake — just the store-salting fence.
-				b.activateSplit(k, e, out)
+	sp.hot[v.Side] = v
+	for _, side := range splitSides {
+		for _, kw := range sp.hot[side].Keys {
+			k := kw.Key
+			if !kw.Hot || int(k%uint64(b.cfg.Dispatchers)) != b.ctx.Task {
+				continue
 			}
-			return
+			if e, ok := sp.entries[k]; ok {
+				if !e.active {
+					// A residual key reheated: its members are tainted and
+					// still covered by probes, so re-activation needs no new
+					// handshake — just the store-salting fence.
+					b.activateSplit(k, e, out)
+				}
+			} else if sp.pending[k] == nil {
+				sp.spanSeq++
+				sp.pending[k] = &splitEntry{span: obs.NewSplitSpanID(b.ctx.Task, sp.spanSeq)}
+				_, why := sp.heat(k, obs.KindSplitPending)
+				b.traceSplit(sp.pending[k].span, why)
+			}
 		}
-		if sp.pending[k] == nil {
-			sp.spanSeq++
-			p := &pendingSplit{span: obs.NewSplitSpanID(b.ctx.Task, sp.spanSeq)}
-			sp.pending[k] = p
-			b.traceSplit(p.span, obs.Event{Kind: obs.KindSplitPending, Key: uint64(k)})
-		}
-	})
+	}
 	// Both maps are walked in sorted key order: the SplitIntent and
 	// UnsplitMark emissions below must leave in a deterministic order for
 	// seeded chaos replay (map range order varies run to run).
@@ -211,51 +155,54 @@ func (b *dispatcherBolt) evalSplit(out *engine.Collector) {
 	slices.Sort(keys)
 	for _, k := range keys {
 		p := sp.pending[k]
-		if c, err, ok := sp.sk.Estimate(k); !ok || c-err < th {
+		if hot, why := sp.heat(k, obs.KindSplitAbandon); !hot {
 			// Cooled off before the handshake completed: abandon it. Any
 			// ack already collected left a harmless taint at that owner.
 			delete(sp.pending, k)
-			b.traceSplit(p.span, obs.Event{Kind: obs.KindSplitAbandon, Key: uint64(k)})
+			b.traceSplit(p.span, why)
 			continue
 		}
 		for _, side := range splitSides {
-			if p.acked[side] {
-				continue
+			if !p.acked[side] {
+				// Re-sent until acked: intents and acks are droppable, and an
+				// owner that is mid-migration stays silent until it ends.
+				out.EmitDirect(splitStream(side), b.router.StoreTarget(side, k), SplitIntent{Side: side, Key: k})
 			}
-			// Re-sent every epoch until acked: intents and acks ride
-			// droppable control lanes (preempting any data backlog at the
-			// owner — see splitStream), and an owner that is mid-migration
-			// stays silent until its attempt finishes.
-			out.EmitDirect(splitStream(side), b.router.StoreTarget(side, k),
-				SplitIntent{Side: side, Key: k, Epoch: sp.epoch})
 		}
 	}
-	// Half-threshold hysteresis so a key hovering at the boundary does
-	// not flap between salted and plain routing. Clamped to >= 1: with
-	// th == 1 integer division makes th/2 == 0, and since a tracked key's
-	// count is always >= 1 the test `c < 0` could never fire — a dead
-	// zone where an active key under a tiny total deactivates only if it
-	// decays out of the sketch entirely, never by cooling below its
-	// share.
-	half := th / 2
-	if half < 1 {
-		half = 1
-	}
 	keys = keys[:0]
-	for k := range sp.entries {
-		keys = append(keys, k)
+	for k, e := range sp.entries {
+		if e.active {
+			keys = append(keys, k)
+		}
 	}
 	slices.Sort(keys)
 	for _, k := range keys {
-		e := sp.entries[k]
-		if !e.active {
-			continue
-		}
-		if c, _, ok := sp.sk.Estimate(k); !ok || c < half {
-			b.deactivateSplit(k, e, out)
+		if hot, _ := sp.heat(k, 0); !hot {
+			b.deactivateSplit(k, sp.entries[k], out)
 		}
 	}
 	sp.keyScratch = keys
+}
+
+// heat reports whether either side's newest hot set holds the key, and why
+// as a trace event of the given kind: the side on which the key's summed
+// work is largest relative to the fair share, that work, and the fair
+// share. A key no report names did no work.
+func (sp *splitTable) heat(k stream.Key, kind obs.Kind) (hot bool, why obs.Event) {
+	why.Kind, why.Key = kind, k
+	for _, side := range splitSides {
+		h := &sp.hot[side]
+		var kw KeyWork
+		if i, ok := slices.BinarySearchFunc(h.Keys, k, func(kw KeyWork, k stream.Key) int { return cmp.Compare(kw.Key, k) }); ok {
+			kw = h.Keys[i]
+		}
+		hot = hot || kw.Hot
+		if why.Fair == 0 || kw.Work*why.Fair > why.Work*h.Fair {
+			why.Side, why.Work, why.Fair = uint8(side), kw.Work, h.Fair
+		}
+	}
+	return hot, why
 }
 
 // handleSplitAck records one owner's permission. When both side groups'
@@ -264,21 +211,17 @@ func (b *dispatcherBolt) evalSplit(out *engine.Collector) {
 // split activates.
 func (b *dispatcherBolt) handleSplitAck(v SplitAck, out *engine.Collector) {
 	sp := b.split
-	if sp == nil {
-		return
-	}
 	// Acks broadcast to every dispatcher task; only the task that owns
 	// the key's traffic has a pending handshake, the rest ignore.
-	p, ok := sp.pending[v.Key]
+	e, ok := sp.pending[v.Key]
 	if !ok {
 		return
 	}
-	p.acked[v.Side] = true
-	if !p.acked[stream.R] || !p.acked[stream.S] {
+	e.acked[v.Side] = true
+	if !e.acked[stream.R] || !e.acked[stream.S] {
 		return
 	}
 	delete(sp.pending, v.Key)
-	e := &splitEntry{span: p.span}
 	sp.entries[v.Key] = e
 	b.activateSplit(v.Key, e, out)
 }
@@ -301,7 +244,6 @@ func (b *dispatcherBolt) traceSplit(span obs.SpanID, ev obs.Event) {
 // store or fanned-out probe, and an instance processes no multi-copy
 // tuple of the key before it is marked (and therefore tainted).
 func (b *dispatcherBolt) activateSplit(k stream.Key, e *splitEntry, out *engine.Collector) {
-	sp := b.split
 	if e.gen > 0 {
 		// A residual key reheating: it leaves the drain phase (any reports
 		// collected so far are void — the members are about to receive new
@@ -312,23 +254,16 @@ func (b *dispatcherBolt) activateSplit(k stream.Key, e *splitEntry, out *engine.
 	e.active = true
 	b.flushAll(out)
 	for _, side := range splitSides {
-		lo, hi := routing.SubgroupRange(b.cfg.JoinersPerSide, sp.ways, b.cfg.Seed, side, k)
+		lo, hi := routing.SubgroupRange(b.cfg.JoinersPerSide, b.cfg.Split.Ways, b.cfg.Seed, side, k)
 		e.members[side] = e.members[side][:0]
 		for i := lo; i < hi; i++ {
 			e.members[side] = append(e.members[side], i)
 		}
-		mark := SplitMark{Side: side, Key: k, Epoch: sp.epoch}
-		owner := b.router.StoreTarget(side, k)
-		out.EmitDirect(tupleStream(side), owner, mark)
-		for _, m := range e.members[side] {
-			if m != owner {
-				out.EmitDirect(tupleStream(side), m, mark)
-			}
-		}
+		b.markMembers(side, k, e, SplitMark{Side: side, Key: k}, out)
 	}
 	b.met.KeysSplit.Inc()
 	b.met.SplitKeys.Add(1)
-	b.traceSplit(e.span, obs.Event{Kind: obs.KindSplitActivate, Key: uint64(k)})
+	b.traceSplit(e.span, obs.Event{Kind: obs.KindSplitActivate, Key: k})
 }
 
 // deactivateSplit cools one key down to residual state: stores return to
@@ -349,23 +284,30 @@ func (b *dispatcherBolt) deactivateSplit(k stream.Key, e *splitEntry, out *engin
 	// moment the mark lands, the monotonicity the drain proof rests on.
 	b.flushAll(out)
 	for _, side := range splitSides {
-		owner := b.router.StoreTarget(side, k)
-		mark := UnsplitMark{Side: side, Key: k, Epoch: sp.epoch, Gen: e.gen, Owner: owner}
-		out.EmitDirect(tupleStream(side), owner, mark)
-		for _, m := range e.members[side] {
-			if m != owner {
-				out.EmitDirect(tupleStream(side), m, mark)
-			}
-		}
+		b.markMembers(side, k, e, UnsplitMark{Side: side, Key: k, Gen: e.gen, Owner: b.router.StoreTarget(side, k)}, out)
 	}
 	b.met.KeysUnsplit.Inc()
 	b.met.SplitKeys.Add(-1)
 	b.met.ResidualKeys.Add(1)
-	b.traceSplit(e.span, obs.Event{Kind: obs.KindSplitResidual, Key: uint64(k)})
+	_, why := sp.heat(k, obs.KindSplitResidual)
+	b.traceSplit(e.span, why)
 	// Degenerate member sets (every member is the owner on both sides —
 	// e.g. Ways clamped to 1 instance per side) have nobody to drain:
 	// retire immediately.
 	b.maybeRetireSplit(k, e, out)
+}
+
+// markMembers emits one split mark on the data lanes of the key's owner
+// and every other member of the side; callers flush all lanes first, so
+// the mark rides behind every tuple this task routed there before it.
+func (b *dispatcherBolt) markMembers(side stream.Side, k stream.Key, e *splitEntry, mark any, out *engine.Collector) {
+	owner := b.router.StoreTarget(side, k)
+	out.EmitDirect(tupleStream(side), owner, mark)
+	for _, m := range e.members[side] {
+		if m != owner {
+			out.EmitDirect(tupleStream(side), m, mark)
+		}
+	}
 }
 
 // handleSplitDrained records one member's report that its salted share of
@@ -375,9 +317,6 @@ func (b *dispatcherBolt) deactivateSplit(k stream.Key, e *splitEntry, out *engin
 // non-owner members count.
 func (b *dispatcherBolt) handleSplitDrained(v SplitDrained, out *engine.Collector) {
 	sp := b.split
-	if sp == nil {
-		return
-	}
 	e, ok := sp.entries[v.Key]
 	if !ok || e.active || v.Gen != e.gen {
 		// Retired already, reheated, or a stale report from a voided round.
@@ -394,12 +333,7 @@ func (b *dispatcherBolt) handleSplitDrained(v SplitDrained, out *engine.Collecto
 		e.drained[v.Side] = make(map[int]bool)
 	}
 	e.drained[v.Side][v.From] = true
-	b.traceSplit(e.span, obs.Event{
-		Kind:   obs.KindSplitDrained,
-		Key:    uint64(v.Key),
-		Side:   uint8(v.Side),
-		Target: v.From,
-	})
+	b.traceSplit(e.span, obs.Event{Kind: obs.KindSplitDrained, Key: v.Key, Side: uint8(v.Side), Target: v.From})
 	b.maybeRetireSplit(v.Key, e, out)
 }
 
@@ -430,26 +364,18 @@ func (b *dispatcherBolt) maybeRetireSplit(k stream.Key, e *splitEntry, out *engi
 // the key for future RouteUpdates — a retired key migrates like any cold
 // key.
 func (b *dispatcherBolt) retireSplit(k stream.Key, e *splitEntry, out *engine.Collector) {
-	sp := b.split
 	// Flush-then-mark, the same lane-fencing argument as activation: the
 	// retire rides behind the last fanned-out probe of every lane, so a
 	// member lifts its taint only after all traffic that could still
 	// reference its (now empty) share has passed.
 	b.flushAll(out)
 	for _, side := range splitSides {
-		mark := SplitRetire{Side: side, Key: k, Gen: e.gen}
-		owner := b.router.StoreTarget(side, k)
-		out.EmitDirect(tupleStream(side), owner, mark)
-		for _, m := range e.members[side] {
-			if m != owner {
-				out.EmitDirect(tupleStream(side), m, mark)
-			}
-		}
+		b.markMembers(side, k, e, SplitRetire{Side: side, Key: k, Gen: e.gen}, out)
 	}
-	delete(sp.entries, k)
+	delete(b.split.entries, k)
 	b.met.KeysRetired.Inc()
 	b.met.ResidualKeys.Add(-1)
-	b.traceSplit(e.span, obs.Event{Kind: obs.KindSplitRetire, Key: uint64(k)})
+	b.traceSplit(e.span, obs.Event{Kind: obs.KindSplitRetire, Key: k})
 }
 
 // filterFrozenKeys drops split keys from a RouteUpdate's key list. A
@@ -467,28 +393,17 @@ func (b *dispatcherBolt) retireSplit(k stream.Key, e *splitEntry, out *engine.Co
 // whose contract forbids retaining the key slice.
 func (b *dispatcherBolt) filterFrozenKeys(keys []stream.Key) []stream.Key {
 	sp := b.split
-	if sp == nil || len(sp.entries) == 0 {
-		return keys
-	}
-	frozen := 0
-	for _, k := range keys {
-		if _, ok := sp.entries[k]; ok {
-			frozen++
-		}
-	}
-	if frozen == 0 {
+	if len(sp.entries) == 0 {
 		return keys
 	}
 	// The update is a broadcast value shared across dispatcher tasks:
-	// filter into a scratch copy, never in place.
-	kept := sp.frozenScratch[:0]
-	for _, k := range keys {
-		if _, ok := sp.entries[k]; !ok {
-			kept = append(kept, k)
-		}
-	}
+	// filter a scratch copy, never in place.
+	kept := slices.DeleteFunc(append(sp.frozenScratch[:0], keys...), func(k stream.Key) bool {
+		_, frozen := sp.entries[k]
+		return frozen
+	})
 	sp.frozenScratch = kept
-	b.met.SplitFrozenKeys.Add(int64(frozen))
+	b.met.SplitFrozenKeys.Add(int64(len(keys) - len(kept)))
 	return kept
 }
 

@@ -1,10 +1,13 @@
 package biclique
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fastjoin/internal/chaos"
+	"fastjoin/internal/core"
 	"fastjoin/internal/engine"
 	"fastjoin/internal/stream"
 )
@@ -18,7 +21,7 @@ func newTestDispatcher(t *testing.T) *dispatcherBolt {
 		Sources:        []TupleSource{func() (stream.Tuple, bool) { return stream.Tuple{}, false }},
 		JoinersPerSide: 4,
 		Strategy:       StrategyHash,
-		Split:          SplitConfig{Threshold: 0.2, Ways: 2, Epoch: 64, SketchCapacity: 16},
+		Split:          SplitConfig{Enabled: true, Ways: 2},
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
@@ -26,6 +29,121 @@ func newTestDispatcher(t *testing.T) *dispatcherBolt {
 	b := newDispatcherBolt(&cfg, NewSystemMetrics(cfg.JoinersPerSide))(0).(*dispatcherBolt)
 	b.Prepare(engine.Context{Component: CompDispatcher, Task: 0, Parallelism: cfg.Dispatchers}, nil)
 	return b
+}
+
+// hotKeys is a side monitor's hot-set message number seq: the hot keys at
+// twice the fair share, the cold ones at a tenth of it, sorted by key as
+// decideSplits sends them.
+func hotKeys(side stream.Side, seq uint64, hot []stream.Key, cold ...stream.Key) HotKeys {
+	msg := HotKeys{Side: side, Seq: seq, Fair: 10}
+	for _, k := range hot {
+		msg.Keys = append(msg.Keys, KeyWork{Key: k, Work: 20, Hot: true})
+	}
+	for _, k := range cold {
+		msg.Keys = append(msg.Keys, KeyWork{Key: k, Work: 1})
+	}
+	slices.SortFunc(msg.Keys, func(a, b KeyWork) int { return cmp.Compare(a.Key, b.Key) })
+	return msg
+}
+
+// sendHotKeys delivers hot-set messages to a dispatcher in order.
+func sendHotKeys(b *dispatcherBolt, msgs ...HotKeys) {
+	out := engine.NullCollector()
+	for _, m := range msgs {
+		b.Execute(engine.Message{Stream: streamHot, Value: m}, out)
+	}
+}
+
+// newSplitTestMonitor builds side R's monitor with splitting on and four
+// instances, outside any topology.
+func newSplitTestMonitor(t *testing.T) *monitorBolt {
+	t.Helper()
+	cfg := Config{
+		Sources:        []TupleSource{func() (stream.Tuple, bool) { return stream.Tuple{}, false }},
+		JoinersPerSide: 4,
+		Strategy:       StrategyHash,
+		Split:          SplitConfig{Enabled: true},
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	return newMonitorFactory(&cfg, stream.R, NewSystemMetrics(cfg.JoinersPerSide))(0).(*monitorBolt)
+}
+
+// reportWork delivers one load report per instance: work[i] is instance
+// i's total work and keys[i] the key work it names.
+func reportWork(mon *monitorBolt, work []float64, keys ...[]KeyWork) {
+	for i, w := range work {
+		r := LoadReport{Side: stream.R, Load: core.InstanceLoad{Instance: i}, Work: w}
+		if i < len(keys) {
+			r.Keys = keys[i]
+		}
+		mon.Execute(engine.Message{Stream: streamLoadR, Value: r}, engine.NullCollector())
+	}
+}
+
+// TestSplitMonitorHotSetHysteresis drives the monitor's split decision:
+// a key's work is summed over the side's reports, it joins the hot set
+// above an instance's fair share (the side's work over JoinersPerSide) by
+// more than chance (3·√fair), stays there down to half the fair share,
+// leaves below it, and leaves when the side goes idle. Every tick's
+// message is sorted by key and numbered one above the last.
+func TestSplitMonitorHotSetHysteresis(t *testing.T) {
+	mon := newSplitTestMonitor(t)
+	even := []float64{100, 100, 100, 100} // fair share 100, chance 30
+	step := func(name string, seq uint64, want map[stream.Key]bool, keys ...[]KeyWork) {
+		t.Helper()
+		reportWork(mon, even, keys...)
+		msg := mon.decideSplits()
+		if msg.Seq != seq || msg.Side != stream.R || msg.Fair != 100 {
+			t.Fatalf("%s: message seq %d side %v fair %v, want seq %d side R fair 100", name, msg.Seq, msg.Side, msg.Fair, seq)
+		}
+		if !slices.IsSortedFunc(msg.Keys, func(a, b KeyWork) int { return cmp.Compare(a.Key, b.Key) }) {
+			t.Fatalf("%s: keys not sorted: %+v", name, msg.Keys)
+		}
+		for _, kw := range msg.Keys {
+			if kw.Hot != want[kw.Key] {
+				t.Fatalf("%s: key %d (work %v) hot=%v, want %v", name, kw.Key, kw.Work, kw.Hot, want[kw.Key])
+			}
+		}
+	}
+	// Key 1's shares at two instances sum to 120: above the fair share,
+	// but within chance. At 140 it is hot. Key 2 at 50 is not.
+	step("within chance of the fair share", 1, map[stream.Key]bool{},
+		[]KeyWork{{Key: 1, Work: 80}, {Key: 2, Work: 50}}, []KeyWork{{Key: 1, Work: 40}})
+	step("above the fair share", 2, map[stream.Key]bool{1: true},
+		[]KeyWork{{Key: 1, Work: 100}, {Key: 2, Work: 50}}, []KeyWork{{Key: 1, Work: 40}})
+	// 60 is under the fair share but over half of it: key 1 stays; key 2
+	// rising to 90 does not join.
+	step("inside the hysteresis band", 3, map[stream.Key]bool{1: true},
+		[]KeyWork{{Key: 1, Work: 60}, {Key: 2, Work: 90}})
+	step("below half the fair share", 4, map[stream.Key]bool{},
+		[]KeyWork{{Key: 1, Work: 40}, {Key: 2, Work: 90}})
+	step("hot again", 5, map[stream.Key]bool{1: true}, []KeyWork{{Key: 1, Work: 150}})
+	reportWork(mon, []float64{0, 0, 0, 0})
+	if msg := mon.decideSplits(); len(msg.Keys) != 1 || msg.Keys[0].Hot || len(mon.hot) != 0 {
+		t.Fatalf("idle side kept a hot set: message %+v, hot %v", msg, mon.hot)
+	}
+}
+
+// TestSplitHotSetIgnoresStaleCopy: the dispatcher orders each side's hot
+// sets by Seq, so a delayed copy of an older set can neither cool a key a
+// newer set holds hot nor revive one a newer set dropped.
+func TestSplitHotSetIgnoresStaleCopy(t *testing.T) {
+	b := newTestDispatcher(t)
+	const k = stream.Key(2) // task 0 of 2 routes the even keys
+	e := activateEntry(t, b, k)
+	sendHotKeys(b, hotKeys(stream.R, 5, []stream.Key{k}), hotKeys(stream.R, 4, nil))
+	if !e.active {
+		t.Fatal("a delayed older hot set cooled a key the newest one holds hot")
+	}
+	sendHotKeys(b, hotKeys(stream.R, 6, nil, k), hotKeys(stream.R, 5, []stream.Key{k}))
+	if e.active {
+		t.Fatal("a delayed older hot set kept a key the newest one dropped")
+	}
+	if got := b.met.KeysSplit.Value(); got != 1 {
+		t.Fatalf("KeysSplit = %d, want 1: the stale copy re-activated the key", got)
+	}
 }
 
 // TestSplitIntentDeferredDuringMigration is the split+migrate
@@ -41,7 +159,7 @@ func TestSplitIntentDeferredDuringMigration(t *testing.T) {
 	// Source side: the key sits in this instance's migrating set.
 	b.migrating = true
 	b.migKeys = map[stream.Key]bool{k: true}
-	b.handleSplitIntent(SplitIntent{Side: stream.R, Key: k, Epoch: 1}, nil)
+	b.handleSplitIntent(SplitIntent{Side: stream.R, Key: k}, nil)
 	if b.splitTaint[k] {
 		t.Fatal("intent acked while the key was mid-migration at the source")
 	}
@@ -50,14 +168,14 @@ func TestSplitIntentDeferredDuringMigration(t *testing.T) {
 	b.migrating = false
 	b.migKeys = nil
 	b.inbound = &inboundMig{epoch: 3, keys: map[stream.Key]bool{k: true}}
-	b.handleSplitIntent(SplitIntent{Side: stream.R, Key: k, Epoch: 2}, nil)
+	b.handleSplitIntent(SplitIntent{Side: stream.R, Key: k}, nil)
 	if b.splitTaint[k] {
 		t.Fatal("intent acked while the key was inbound at the target")
 	}
 
 	// A migration of a different key must not block the handshake.
 	b.inbound = &inboundMig{epoch: 3, keys: map[stream.Key]bool{8: true}}
-	b.handleSplitIntent(SplitIntent{Side: stream.R, Key: k, Epoch: 3}, engine.NullCollector())
+	b.handleSplitIntent(SplitIntent{Side: stream.R, Key: k}, engine.NullCollector())
 	if !b.splitTaint[k] {
 		t.Fatal("re-sent intent after the attempt cleared must taint the key")
 	}
@@ -104,11 +222,11 @@ func TestUnsplitKeepsTaint(t *testing.T) {
 	out := engine.NullCollector()
 	const k = stream.Key(4)
 
-	b.Execute(engine.Message{Stream: tupleStream(stream.R), Value: SplitMark{Side: stream.R, Key: k, Epoch: 1}}, out)
+	b.Execute(engine.Message{Stream: tupleStream(stream.R), Value: SplitMark{Side: stream.R, Key: k}}, out)
 	if !b.splitTaint[k] || !b.splitActive[k] {
 		t.Fatalf("after SplitMark: taint=%v active=%v, want both", b.splitTaint[k], b.splitActive[k])
 	}
-	b.Execute(engine.Message{Stream: tupleStream(stream.R), Value: UnsplitMark{Side: stream.R, Key: k, Epoch: 2, Gen: 1, Owner: 1}}, out)
+	b.Execute(engine.Message{Stream: tupleStream(stream.R), Value: UnsplitMark{Side: stream.R, Key: k, Gen: 1, Owner: 1}}, out)
 	if b.splitActive[k] {
 		t.Fatal("after UnsplitMark the key must not count as actively split")
 	}
@@ -129,12 +247,12 @@ func TestSplitAckHandshakeActivates(t *testing.T) {
 	out := engine.NullCollector()
 	const k = stream.Key(9)
 
-	b.split.pending[k] = new(pendingSplit)
-	b.Execute(engine.Message{Stream: streamRouteUpd, Value: SplitAck{Side: stream.R, Key: k, From: 2}}, out)
+	b.split.pending[k] = new(splitEntry)
+	b.Execute(engine.Message{Stream: streamRouteUpd, Value: SplitAck{Side: stream.R, Key: k}}, out)
 	if b.split.entries[k] != nil {
 		t.Fatal("a single ack must not activate the split")
 	}
-	b.Execute(engine.Message{Stream: streamRouteUpd, Value: SplitAck{Side: stream.S, Key: k, From: 1}}, out)
+	b.Execute(engine.Message{Stream: streamRouteUpd, Value: SplitAck{Side: stream.S, Key: k}}, out)
 	e := b.split.entries[k]
 	if e == nil || !e.active {
 		t.Fatalf("both acks must activate the split, got entry %+v", e)
@@ -152,7 +270,7 @@ func TestSplitAckHandshakeActivates(t *testing.T) {
 	}
 
 	// Duplicate ack after activation: pending entry is gone, must no-op.
-	b.Execute(engine.Message{Stream: streamRouteUpd, Value: SplitAck{Side: stream.S, Key: k, From: 1}}, out)
+	b.Execute(engine.Message{Stream: streamRouteUpd, Value: SplitAck{Side: stream.S, Key: k}}, out)
 	if got := b.met.KeysSplit.Value(); got != 1 {
 		t.Fatalf("duplicate ack re-activated: KeysSplit = %d", got)
 	}
@@ -218,41 +336,43 @@ func TestDispatcherFreezesSplitKeyRouting(t *testing.T) {
 	}
 }
 
-// TestSplitDetectorPromotesPending: feeding a skewed key stream through
-// the detector must open a handshake for the heavy hitter — and only for
-// it — at the epoch boundary.
+// TestSplitDetectorPromotesPending: a monitor's hot set must open a
+// handshake for a hot key this dispatcher task routes — and only for it:
+// not for a cold key, not for a hot key another task routes, and not from
+// a delayed copy of an older set. Either side's set counts.
 func TestSplitDetectorPromotesPending(t *testing.T) {
 	b := newTestDispatcher(t)
-	out := engine.NullCollector()
-	// 64-observation epoch: key 1 takes half the traffic, the rest is
-	// spread thin.
-	for i := 0; i < b.cfg.Split.Epoch; i++ {
-		k := stream.Key(1)
-		if i%2 == 0 {
-			k = stream.Key(100 + i)
-		}
-		b.observeSplit(k, out)
-	}
-	if b.split.pending[1] == nil {
-		t.Fatal("heavy hitter not promoted to pending after the epoch evaluation")
+	// Task 0 of 2 routes the even keys.
+	sendHotKeys(b, hotKeys(stream.R, 2, []stream.Key{2, 3}, 4))
+	if b.split.pending[2] == nil {
+		t.Fatal("hot key not promoted to pending")
 	}
 	if len(b.split.pending) != 1 {
-		t.Fatalf("light keys promoted too: pending = %v", b.split.pending)
+		t.Fatalf("cold or foreign keys promoted too: pending = %v", b.split.pending)
 	}
 	if len(b.split.entries) != 0 {
 		t.Fatal("no entry may exist before both acks arrive")
+	}
+	sendHotKeys(b, hotKeys(stream.R, 1, []stream.Key{6}))
+	if b.split.pending[6] != nil {
+		t.Fatal("a delayed older hot set promoted a key")
+	}
+	sendHotKeys(b, hotKeys(stream.S, 1, []stream.Key{8}))
+	if b.split.pending[8] == nil || b.split.pending[2] == nil {
+		t.Fatalf("side S's hot key must join side R's: pending = %v", b.split.pending)
 	}
 }
 
 // --- system-level tests -------------------------------------------------
 
 // splitTestConfig is the interleaving tests' shape: the chaos base (fast
-// stats ticks, aggressive migration trigger, thinning predicate) plus a
-// split threshold sized so the phased workload's mega-key clears it but
-// the migration phase's moderate hot keys stay well below it.
+// stats ticks, aggressive migration trigger, thinning predicate, four
+// instances per side) plus splitting. The phased workload's mega-key does
+// over half a side's work, far above an instance's fair share; the
+// migration phase's moderate hot keys do about 15 % each, below it.
 func splitTestConfig(seed uint64) Config {
 	cfg := chaosBaseConfig(seed)
-	cfg.Split = SplitConfig{Threshold: 0.4, Ways: 2, Epoch: 128, SketchCapacity: 32}
+	cfg.Split = SplitConfig{Enabled: true, Ways: 2}
 	return cfg
 }
 
@@ -293,14 +413,16 @@ func makePhasedWorkload(n int, seed int64) []stream.Tuple {
 }
 
 // TestSplitActivatesOnHotKey: under the standard skewed chaos workload
-// (no fault injection) the detector must actually split, the result set
-// must stay exact, and the joiners' load reports must have carried the
-// split state to the monitors.
+// (no fault injection) the monitors must actually split a key, the result
+// set must stay exact, and the joiners' load reports must have carried
+// the split state to the monitors. Paced: splits act on stats ticks.
 func TestSplitActivatesOnHotKey(t *testing.T) {
 	tuples := makeWorkload(6000, 30, 0.5, 11)
 	cfg := splitTestConfig(3)
-	cfg.Split.Threshold = 0.15 // the two hot keys hold ~50% of their task's traffic
-	sys, got := runFinite(t, cfg, tuples)
+	// Eight instances: each hot key's work is twice a fair share, not a
+	// hair above it.
+	cfg.JoinersPerSide = 8
+	sys, got := runFinitePaced(t, cfg, tuples)
 	assertExactlyOnce(t, referenceJoin(tuples, cfg.Predicate), got)
 
 	met := sys.Metrics()

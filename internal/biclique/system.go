@@ -59,7 +59,9 @@ func Start(cfg Config) (*System, error) {
 	dispatcher := b.AddBolt(CompDispatcher, newDispatcherBolt(&cfg, met), cfg.Dispatchers).
 		Direct(CompShuffler, streamTuples).
 		BroadcastCtrl(CompJoinerR, streamRouteUpd).
-		BroadcastCtrl(CompJoinerS, streamRouteUpd)
+		BroadcastCtrl(CompJoinerS, streamRouteUpd).
+		BroadcastCtrl(CompMonitorR, streamHot).
+		BroadcastCtrl(CompMonitorS, streamHot)
 	// The linger ticks bound how long a partially filled batch can sit in a
 	// busy shuffler or dispatcher; an idle task flushes eagerly via the
 	// engine's Flusher hook.

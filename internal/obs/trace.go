@@ -77,8 +77,9 @@ const (
 	// active → residual → … → abandoned or retired), identified by
 	// NewSplitSpanID. They never mix with migration spans.
 
-	// KindSplitPending opens a split span: the detector promoted a heavy
-	// hitter and the intent/ack handshake started. Carries the key.
+	// KindSplitPending opens a split span: a side monitor's hot set named
+	// the key and the intent/ack handshake started. Carries the key, and
+	// Work and Fair as why.
 	KindSplitPending
 	// KindSplitActivate records the key switching to salted routing —
 	// after the first handshake or again on a residual reheat, so it can
@@ -86,7 +87,8 @@ const (
 	KindSplitActivate
 	// KindSplitResidual records a cool-down: salting stops, members keep
 	// their shares, the drain phase begins. Repeats when a reheated key
-	// cools again (each round bumps the residual generation).
+	// cools again (each round bumps the residual generation). Carries Work
+	// and Fair as why.
 	KindSplitResidual
 	// KindSplitDrained records one member's first drain report of the
 	// current generation (Target is the reporting instance).
@@ -295,6 +297,13 @@ type Event struct {
 	// LI is the imbalance that triggered the span; Theta the configured Θ.
 	LI    float64 `json:"li,omitempty"`
 	Theta float64 `json:"theta,omitempty"`
+	// Work and Fair explain a split event: the key's metered join work
+	// summed over Side's instances, and an instance's fair share of that
+	// side's work, on the side where the key is heaviest relative to it.
+	// A key splits clearly above the fair share and cools below half of
+	// it.
+	Work float64 `json:"work,omitempty"`
+	Fair float64 `json:"fair,omitempty"`
 }
 
 // DefaultTraceCapacity is the ring capacity used when NewTracer is given

@@ -29,8 +29,16 @@ type tupleChunk struct {
 	Tuples []stream.Tuple
 }
 
+// streamEnd is the tuple stream's last message: the sender's source is
+// exhausted after Tuples tuples. A stream that ends without it, or whose
+// count differs from what arrived, broke.
+type streamEnd struct {
+	Tuples int
+}
+
 func init() {
 	transport.RegisterValue(tupleChunk{})
+	transport.RegisterValue(streamEnd{})
 	// Payload types that may travel inside tuples.
 	transport.RegisterValue(workload.OrderPayload{})
 	transport.RegisterValue(workload.TrackPayload{})
@@ -43,12 +51,12 @@ func init() {
 
 // AcceptSources waits for n client connections on the server and returns
 // one TupleSource per client. Each source yields the client's tuples in
-// arrival order and ends when the client closes its connection, or when
-// the connection breaks; nothing is resent. The stream carries no end
-// marker, so a client that dies between two messages looks like one that
-// closed. The returned closer shuts every accepted connection and
-// reports the first connection that broke, so a nil result means every
-// source ended cleanly (or was cut by the closer itself).
+// arrival order and ends at the client's end-of-stream message, or when
+// the connection breaks; nothing is resent. The returned closer shuts
+// every accepted connection and reports the first connection that broke —
+// one that ended without the end message, or with a count other than the
+// tuples that arrived — so a nil result means every source ended cleanly
+// (or was cut by the closer itself).
 func AcceptSources(srv *transport.Server, n int) ([]fastjoin.TupleSource, func() error, error) {
 	if n <= 0 {
 		return nil, nil, fmt.Errorf("remote: need at least one ingestion connection")
@@ -56,7 +64,7 @@ func AcceptSources(srv *transport.Server, n int) ([]fastjoin.TupleSource, func()
 	srcs := make([]*connSource, 0, n)
 	closer := func() error {
 		for _, src := range srcs {
-			src.conn.Close()
+			src.close()
 		}
 		for i, src := range srcs {
 			if err := src.err(); err != nil {
@@ -82,14 +90,17 @@ func AcceptSources(srv *transport.Server, n int) ([]fastjoin.TupleSource, func()
 // connSource adapts one connection to a pull-based tuple source. The spout
 // goroutine blocks in Recv between chunks and hands out each decoded
 // tupleChunk's slice in order; messages of another stream or shape are
-// skipped. A clean EOF or any error ends the source for good; an error
-// other than EOF is kept for the closer, which runs on another goroutine.
+// skipped. The end message, a Recv error or EOF ends the source for good.
+// Unless the closer cut the connection, an end that is not a matching end
+// message is kept for the closer, which runs on another goroutine.
 type connSource struct {
 	conn  transport.Conn
 	done  bool
 	chunk []stream.Tuple // what is left of the chunk being handed out
+	got   int            // tuples received
 
 	mu     sync.Mutex
+	closed bool // the closer cut the connection
 	broken error
 }
 
@@ -100,21 +111,48 @@ func (c *connSource) next() (fastjoin.Tuple, bool) {
 		}
 		m, err := c.conn.Recv()
 		if err != nil {
-			c.done = true
-			if !errors.Is(err, io.EOF) {
-				c.mu.Lock()
-				c.broken = err
-				c.mu.Unlock()
+			if errors.Is(err, io.EOF) {
+				err = fmt.Errorf("stream ended after %d tuples without its end message", c.got)
 			}
-			return fastjoin.Tuple{}, false
+			c.finish(err)
+			continue
 		}
-		if tc, ok := m.Value.(tupleChunk); ok && m.Stream == tupleStream {
-			c.chunk = tc.Tuples
+		if m.Stream != tupleStream {
+			continue
+		}
+		switch v := m.Value.(type) {
+		case tupleChunk:
+			c.chunk = v.Tuples
+			c.got += len(v.Tuples)
+		case streamEnd:
+			if v.Tuples != c.got {
+				err = fmt.Errorf("stream ended after %d tuples, its end message says %d", c.got, v.Tuples)
+			}
+			c.finish(err)
 		}
 	}
 	t := c.chunk[0]
 	c.chunk = c.chunk[1:]
 	return t, true
+}
+
+// finish ends the source; a non-nil err broke the stream, unless the
+// closer cut the connection first.
+func (c *connSource) finish(err error) {
+	c.done = true
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.closed {
+		c.broken = err
+	}
+}
+
+// close cuts the connection; the source ends cleanly.
+func (c *connSource) close() {
+	c.mu.Lock()
+	c.closed = true
+	c.mu.Unlock()
+	c.conn.Close()
 }
 
 // err returns the error that broke the connection, nil after a clean end.
@@ -125,9 +163,10 @@ func (c *connSource) err() error {
 }
 
 // StreamTuples dials a join server and pushes the source's tuples until it
-// is exhausted, then closes the connection. A message carries at most
-// DefaultChunkSize tuples and ships as soon as no further tuple is
-// waiting (see StreamTuplesChunked). It returns how many tuples were sent.
+// is exhausted, then sends the end message and closes the connection. A
+// message carries at most DefaultChunkSize tuples and ships as soon as no
+// further tuple is waiting (see StreamTuplesChunked). It returns how many
+// tuples were sent.
 func StreamTuples(addr string, src fastjoin.TupleSource) (int, error) {
 	return StreamTuplesChunked(addr, src, transport.DefaultChunkSize)
 }
@@ -153,7 +192,8 @@ func StreamTuplesChunked(addr string, src fastjoin.TupleSource, size int) (int, 
 }
 
 // sendTuples is StreamTuplesChunked's send loop over an established
-// connection. It returns the number of tuples in chunks Send accepted.
+// connection; once the source is exhausted it sends the end message. It
+// returns the number of tuples in chunks Send accepted.
 func sendTuples(conn transport.Conn, src fastjoin.TupleSource, size int) (int, error) {
 	size = max(size, 1)
 	// One chunk's worth: what piles up while the previous chunk is in Send.
@@ -177,6 +217,9 @@ func sendTuples(conn transport.Conn, src fastjoin.TupleSource, size int) (int, e
 			return sent, fmt.Errorf("remote: send after %d tuples: %w", sent, err)
 		}
 		sent += len(chunk)
+	}
+	if err := conn.Send(transport.Message{Stream: tupleStream, Value: streamEnd{Tuples: sent}}); err != nil {
+		return sent, fmt.Errorf("remote: send end after %d tuples: %w", sent, err)
 	}
 	return sent, nil
 }

@@ -137,8 +137,9 @@ func TestConnSourceIgnoresForeignMessages(t *testing.T) {
 
 // TestBrokenIngestionIsReported feeds AcceptSources from a raw TCP client
 // and checks that only a clean end reads as one: a client that dies
-// mid-message ends its source after the last whole chunk and the closer
-// reports the break, while a client that closes between messages, or a
+// mid-message, or between messages before its end message, or whose end
+// message miscounts, ends its source after the last whole chunk and the
+// closer reports the break; a client that sends its end message, or a
 // closer that cuts a source blocked in Recv, leaves the closer with nil.
 func TestBrokenIngestionIsReported(t *testing.T) {
 	chunkOf := func(first, n int) tupleChunk {
@@ -148,20 +149,28 @@ func TestBrokenIngestionIsReported(t *testing.T) {
 		}
 		return c
 	}
-	// Two 10-tuple messages as tcpConn.Send writes them; first is where
-	// the first one ends.
-	var wire bytes.Buffer
-	enc := gob.NewEncoder(&wire)
+	// Two 10-tuple messages as tcpConn.Send writes them, then an end
+	// message carrying end unless it is negative; first is where the
+	// first message ends.
 	var first int
-	for _, c := range []tupleChunk{chunkOf(0, 10), chunkOf(10, 10)} {
-		if err := enc.Encode(&transport.Message{Stream: tupleStream, Value: c}); err != nil {
-			t.Fatal(err)
+	wire := func(end int) []byte {
+		var buf bytes.Buffer
+		enc := gob.NewEncoder(&buf)
+		msgs := []any{chunkOf(0, 10), chunkOf(10, 10)}
+		if end >= 0 {
+			msgs = append(msgs, streamEnd{Tuples: end})
 		}
-		if first == 0 {
-			first = wire.Len()
+		for i, v := range msgs {
+			if err := enc.Encode(&transport.Message{Stream: tupleStream, Value: v}); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				first = buf.Len()
+			}
 		}
+		return buf.Bytes()
 	}
-	all := wire.Bytes()
+	all := wire(-1)
 	half := first + (len(all)-first)/2
 	cases := []struct {
 		name       string
@@ -171,7 +180,9 @@ func TestBrokenIngestionIsReported(t *testing.T) {
 		wantErr    bool // closer reports a broken connection
 	}{
 		{name: "peer dies mid-message", write: all[:half], want: 10, wantErr: true},
-		{name: "peer closes between messages", write: all, want: 20},
+		{name: "peer dies between messages", write: all, want: 20, wantErr: true},
+		{name: "end message miscounts", write: wire(25), want: 20, wantErr: true},
+		{name: "peer closes between messages", write: wire(20), want: 20}, // after its end message
 		{name: "closer cuts a blocked source", write: all, closeLocal: true, want: 20},
 	}
 	for _, tc := range cases {
@@ -236,7 +247,7 @@ func TestBrokenIngestionIsReported(t *testing.T) {
 			}
 			err = closeConns()
 			if tc.wantErr && err == nil {
-				t.Error("closer returned nil for a connection that broke mid-message")
+				t.Error("closer returned nil for a connection that broke")
 			}
 			if !tc.wantErr && err != nil {
 				t.Errorf("closer = %v for a clean end", err)

@@ -54,7 +54,8 @@ func sendOver(conn transport.Conn, src fastjoin.TupleSource, size int) <-chan se
 }
 
 // recvChunk returns the tuples of the next message on conn, or ok=false at
-// EOF. It fails the test when nothing arrives within a few seconds.
+// the end message or EOF. It fails the test when nothing arrives within a
+// few seconds.
 func recvChunk(t *testing.T, conn transport.Conn) (tuples []fastjoin.Tuple, ok bool) {
 	t.Helper()
 	type recv struct {
@@ -73,6 +74,9 @@ func recvChunk(t *testing.T, conn transport.Conn) (tuples []fastjoin.Tuple, ok b
 		}
 		if r.err != nil {
 			t.Fatalf("Recv: %v", r.err)
+		}
+		if _, end := r.m.Value.(streamEnd); end && r.m.Stream == tupleStream {
+			return nil, false
 		}
 		c, isChunk := r.m.Value.(tupleChunk)
 		if !isChunk || r.m.Stream != tupleStream {

@@ -1,10 +1,13 @@
-// Package sketch provides the approximate heavy-hitter detector behind
-// FastJoin's hot-key splitting: a SpaceSaving summary (Metwally et al.,
-// "Efficient computation of frequent and top-k elements in data streams")
-// over recent key frequencies, decayed in observation-count epochs so the
-// detector tracks the *current* hot set without consulting a wall clock —
-// decision paths stay deterministic for a given tuple sequence, which is
-// what lets the chaos differential suite replay split decisions by seed.
+// Package sketch provides an approximate heavy-hitter detector: a
+// SpaceSaving summary (Metwally et al., "Efficient computation of frequent
+// and top-k elements in data streams") over recent key frequencies,
+// decayed in observation-count epochs so it tracks the *current* hot set
+// without consulting a wall clock.
+//
+// The product no longer uses it: hot-key splitting decides on metered
+// join work in the side monitors (internal/biclique). It stays only
+// because the benchmark's isolated layer timings (benchmark/layers.go)
+// still time it, and goes with them.
 package sketch
 
 import "fastjoin/internal/stream"

@@ -92,13 +92,15 @@ type MigrationOptions struct {
 	SustainTicks int
 	// MinBenefit is GreedyFit's θ_gap (default 1).
 	MinBenefit int64
-	// SplitThreshold enables hot-key splitting: a key whose share of its
-	// dispatcher task's traffic exceeds this fraction (per detector
-	// epoch) is split — its stored tuples salt across SplitWays join
-	// instances and probes fan out to all of them — instead of being
-	// migrated whole, which cannot help a single key hotter than an
-	// entire instance's fair share. 0 (the default) disables splitting;
-	// the valid range is (0, 1]. FastJoin kinds only.
+	// SplitThreshold > 0 enables hot-key splitting; the value is not
+	// read. A key whose join work (see ServiceRate), summed over a side,
+	// clearly exceeds an instance's fair share of that side's work (by
+	// more than 3·√share) is split — its stored tuples salt across
+	// SplitWays join instances and probes fan out to all of them —
+	// instead of being migrated whole, which cannot help a key hotter
+	// than a whole instance's share. It un-splits below half the fair
+	// share. 0 (the default) disables splitting; the valid range is
+	// (0, 1]. FastJoin kinds only.
 	SplitThreshold float64
 	// SplitWays is how many instances per side a split key salts across
 	// (default 4, clamped to Joiners).
@@ -183,9 +185,11 @@ type Options struct {
 	QueueSize int
 	// ServiceRate, when positive, emulates per-node compute capacity:
 	// each join instance is limited to ServiceRate virtual ops/second
-	// (1 op per store, 1 + MatchCost per scanned tuple per probe). The
-	// benchmark harness uses it so cluster-scale behaviour reproduces on
-	// small hosts; 0 disables the emulation.
+	// (1 op per store; 0.2 ops per probe plus MatchCost per scanned
+	// tuple). These ops are also the unit in which hot-key splitting
+	// meters a key's join work. The benchmark harness uses it so
+	// cluster-scale behaviour reproduces on small hosts; 0 disables the
+	// emulation.
 	ServiceRate float64
 	// MatchCost is the virtual op cost per scanned stored tuple
 	// (default 0.01 when ServiceRate is set).
