@@ -83,7 +83,9 @@ chaos:
 
 ## chaos-split: the hot-key-splitting slice of the chaos matrix under the
 ## race detector — every fault profile with splitting enabled (the
-## differential and store matrices' split=on rows), the
+## differential and store matrices' split=on rows: eight instances per
+## side, so every split fans its probes out to all 8 and every drain
+## round waits on 7 non-owner members per side), the
 ## split→migrate→unsplit interleaving lifecycle, the churn/retire
 ## scenario (splits must cool, drain, and retire under every profile,
 ## with the split table returning to empty — the bounded-memory check),

@@ -166,10 +166,7 @@ func New(opts Options) (*System, error) {
 		Cooldown:     opts.Migration.Cooldown,
 		SustainTicks: opts.Migration.SustainTicks,
 	}
-	split := biclique.SplitConfig{
-		Enabled: opts.Migration.SplitThreshold > 0,
-		Ways:    opts.Migration.SplitWays,
-	}
+	split := biclique.SplitConfig{Enabled: opts.Migration.SplitThreshold > 0}
 	switch opts.Kind {
 	case KindFastJoin:
 		cfg.Strategy = biclique.StrategyHash
@@ -362,6 +359,10 @@ type Stats struct {
 	KeysUnsplit  int64 `json:"keys_unsplit,omitempty"`
 	ResidualKeys int64 `json:"residual_keys,omitempty"`
 	KeysRetired  int64 `json:"keys_retired,omitempty"`
+	// SplitProbeCopies counts the probe copies sent to instances other
+	// than a split key's owner, both sides summed (/metrics has them per
+	// side): the fan-out a split costs.
+	SplitProbeCopies int64 `json:"split_probe_copies,omitempty"`
 	// StoreReservedBytes is the memory the join instances' stores hold on to
 	// (chunk slabs, indexes, expiry heaps), summed over every instance's
 	// latest load report; StoreLiveBytes is the part of it that is resident
@@ -420,6 +421,8 @@ func (s *System) Stats() Stats {
 		KeysUnsplit:    m.KeysUnsplit.Value(),
 		ResidualKeys:   m.ResidualKeys.Value(),
 		KeysRetired:    m.KeysRetired.Value(),
+		SplitProbeCopies: m.SplitProbeCopies[stream.R].Value() +
+			m.SplitProbeCopies[stream.S].Value(),
 
 		StoreReservedBytes: storeReserved,
 		StoreLiveBytes:     storeLive,

@@ -53,7 +53,7 @@ func benchmarkPipeline(b *testing.B, store StoreImpl, tuples []stream.Tuple) {
 		// Splitting enabled so the ceiling covers the split meter on the hot
 		// path; the sparse key space never makes a key hot, so this
 		// prices metering, not salted routing.
-		cfg.Split = SplitConfig{Enabled: true, Ways: 2}
+		cfg.Split = SplitConfig{Enabled: true}
 		// Observability on: the tracer must stay off the data plane, so
 		// the allocation ceiling holds with it attached.
 		cfg.Tracer = obs.NewTracer(0)

@@ -119,14 +119,16 @@ func runChaos(t *testing.T, profileName string, seed uint64, nTuples int, mutate
 // over eight instances per side, with the input paced. The workload's two
 // hot keys each do a quarter of a side's work, twice an instance's fair
 // share; the monitors split them on stats ticks, which an unpaced input
-// can outrun (see paced). The ticks are twice as far apart as the base's:
+// can outrun (see paced). A split salts across all eight instances of a
+// side and fans its probes out to all eight of the other, so every
+// drain round waits on seven non-owner members per side. The ticks are twice as far apart as the base's:
 // with twice the instances, that keeps the tick-driven control traffic —
 // which a delaying profile holds in flight, and the engine must see none
 // of in flight to settle — as dense as the base's.
 func enableSplit(cfg *Config) {
 	cfg.JoinersPerSide = 8
 	cfg.StatsInterval = 2 * cfg.StatsInterval
-	cfg.Split = SplitConfig{Enabled: true, Ways: 2}
+	cfg.Split = SplitConfig{Enabled: true}
 	for i := range cfg.Sources {
 		cfg.Sources[i] = paced(cfg.Sources[i])
 	}

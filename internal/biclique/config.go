@@ -109,16 +109,15 @@ type MigrationConfig struct {
 // SplitConfig controls hot-key splitting: the side monitors' work-driven
 // split decision and the salted split routing it switches hot keys to.
 // Splitting is the escape hatch for the one workload whole-key migration
-// cannot fix — a single key hotter than one instance's fair share.
+// cannot fix — a single key hotter than one instance's fair share. A
+// split key's stores salt across every instance of its side and its
+// probes fan out to every instance of the other (DESIGN.md "Activation").
 type SplitConfig struct {
 	// Enabled turns splitting on: a key whose metered join work, summed
 	// over a side, clearly exceeds an instance's fair share of that side's
 	// work is split (monitorBolt.decideSplits), and un-splits once below
 	// half the fair share. Requires StrategyHash.
 	Enabled bool
-	// Ways is how many instances per side a split key's stores are salted
-	// over (and its probes broadcast to). Default min(4, JoinersPerSide).
-	Ways int
 }
 
 // DefaultBatchSize is the shuffler and dispatcher lane capacity used when
@@ -281,14 +280,8 @@ func (c *Config) Validate() error {
 	if c.ServiceRate > 0 && c.MatchCost <= 0 {
 		c.MatchCost = 0.01
 	}
-	if c.Split.Enabled {
-		if c.Strategy != StrategyHash {
-			return fmt.Errorf("biclique: hot-key splitting requires StrategyHash, not %v", c.Strategy)
-		}
-		if c.Split.Ways <= 0 {
-			c.Split.Ways = 4
-		}
-		c.Split.Ways = min(c.Split.Ways, c.JoinersPerSide)
+	if c.Split.Enabled && c.Strategy != StrategyHash {
+		return fmt.Errorf("biclique: hot-key splitting requires StrategyHash, not %v", c.Strategy)
 	}
 	if c.Migration.Enabled {
 		if c.Migration.Selector == nil {

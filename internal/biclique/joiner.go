@@ -71,7 +71,7 @@ type joinerBolt struct {
 	statScratch []core.KeyStat
 	probeMerge  map[stream.Key]int64
 
-	// Split meter (Config.Split.Enabled): the ops consume charged, in total
+	// Split meter (Config.Split.Enabled): the ops charge meters, in total
 	// and per key, in the capacity model's unit (Config.ServiceRate),
 	// halved on every stats tick so a bursty key's swings damp.
 	work    float64
@@ -211,13 +211,14 @@ func (b *joinerBolt) consume(cost float64) {
 	}
 }
 
-// charge consumes ops and, with splitting on, meters them on the key.
+// charge consumes cost ops and, with splitting on, meters metered of
+// them on the key.
 //
 //lint:hotpath
-func (b *joinerBolt) charge(k stream.Key, cost float64) {
+func (b *joinerBolt) charge(k stream.Key, cost, metered float64) {
 	if b.cfg.Split.Enabled {
-		b.work += cost
-		b.workCur[k] += cost
+		b.work += metered
+		b.workCur[k] += metered
 	}
 	b.consume(cost)
 }
@@ -322,7 +323,7 @@ func (b *joinerBolt) handleTuple(tm TupleMsg, out *engine.Collector) {
 	case OpStore:
 		b.store.Add(tm.T)
 		b.storedGauge().Add(1)
-		b.charge(key, 1)
+		b.charge(key, 1, 1)
 	case OpProbe:
 		b.probe(tm, out)
 	}
@@ -357,7 +358,12 @@ func (b *joinerBolt) probe(tm TupleMsg, out *engine.Collector) {
 	}
 	// A probe that finds an empty bucket is just a hash lookup — far
 	// cheaper than a store's insert — so its base cost is fractional.
-	b.charge(key, probeBaseCost+b.cfg.MatchCost*float64(b.probeScanned))
+	scan := b.cfg.MatchCost * float64(b.probeScanned)
+	metered := probeBaseCost + scan
+	if tm.FanOut {
+		metered = scan // the lookup is metered once, on the owner's copy
+	}
+	b.charge(key, probeBaseCost+scan, metered)
 	if tm.Replayed {
 		// Migration replays carry SentAt stamps that are stale by the whole
 		// handshake; observing them would spike the tail of the latency
@@ -842,15 +848,20 @@ func (b *joinerBolt) onTick(out *engine.Collector) {
 // the instance's work, and that of every tainted key (a split key's shares
 // sum over the side's reports) and of every key above this instance's work
 // over JoinersPerSide, the only unsplit keys that can exceed a fair share.
+// A key under one op once halved is forgotten, which cools a key on an
+// idle side; a split key's share, one of JoinersPerSide, is held to that
+// part of the floor, or a widely split key under-reads at low rates.
 func (b *joinerBolt) reportWork() (work float64, keys []KeyWork) {
 	work, b.work = b.work, b.work/2
+	n := float64(b.cfg.JoinersPerSide)
 	for k, w := range b.workCur {
-		if w*float64(b.cfg.JoinersPerSide) > work || b.splitTaint[k] {
+		tainted := b.splitTaint[k]
+		if w*n > work || tainted {
 			keys = append(keys, KeyWork{Key: k, Work: w})
 		}
 		b.workCur[k] = w / 2
-		if w < 2 {
-			delete(b.workCur, k) // under one op once halved: forgotten
+		if w < 2 && (!tainted || w*n < 2) {
+			delete(b.workCur, k)
 		}
 	}
 	return work, keys

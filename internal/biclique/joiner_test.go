@@ -182,3 +182,28 @@ func TestConsumeThrottlesAfterIdle(t *testing.T) {
 		t.Errorf("consume too slow: %v", elapsed)
 	}
 }
+
+// TestReportWorkForgetsSplitShareAtItsPart: a key's meter entry is
+// forgotten once under one op when halved, which is how an idle side cools
+// a split key. A split key's share is one of JoinersPerSide, so the floor
+// it is held to is the same part of that one op: a share of 1.5 survives
+// at four instances, where an unsplit key's 1.5 is forgotten, and a share
+// under 2/4 goes.
+func TestReportWorkForgetsSplitShareAtItsPart(t *testing.T) {
+	b := newTestJoiner(t, Config{JoinersPerSide: 4, Strategy: StrategyHash, Split: SplitConfig{Enabled: true}})
+	const cold, split, faded = stream.Key(1), stream.Key(2), stream.Key(3)
+	b.taintSplit(split, true)
+	b.taintSplit(faded, true)
+	b.work = 100
+	b.workCur[cold], b.workCur[split], b.workCur[faded] = 1.5, 1.5, 0.4
+	b.reportWork()
+	if _, ok := b.workCur[cold]; ok {
+		t.Errorf("unsplit key at 1.5 ops kept: %v", b.workCur)
+	}
+	if got := b.workCur[split]; got != 0.75 {
+		t.Errorf("split share at 1.5 ops of 4 = %v after the report, want 0.75 kept", got)
+	}
+	if _, ok := b.workCur[faded]; ok {
+		t.Errorf("split share at 0.4 ops of 4 kept: %v", b.workCur)
+	}
+}

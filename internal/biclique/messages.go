@@ -47,6 +47,9 @@ type TupleMsg struct {
 	// is stale by the whole migration handshake, so the latency histogram
 	// skips it; ReplayedTuples counts it instead.
 	Replayed bool
+	// FanOut marks a split key's probe copy to a non-owner instance: it
+	// meters only its scan, so the key's work reads what it would unsplit.
+	FanOut bool
 }
 
 // TupleBatch is the dispatcher→joiner data message: the routed tuples of

@@ -18,7 +18,7 @@ func newRetireTestDispatcher(t *testing.T, mutate func(*Config)) *dispatcherBolt
 		Sources:        []TupleSource{func() (stream.Tuple, bool) { return stream.Tuple{}, false }},
 		JoinersPerSide: 4,
 		Strategy:       StrategyHash,
-		Split:          SplitConfig{Enabled: true, Ways: 2},
+		Split:          SplitConfig{Enabled: true},
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -47,13 +47,13 @@ func activateEntry(t *testing.T, b *dispatcherBolt, k stream.Key) *splitEntry {
 }
 
 // drainReports builds the SplitDrained quorum for the key's current
-// generation: one report per non-owner member of each side.
+// generation: one report per non-owner instance of each side.
 func drainReports(b *dispatcherBolt, k stream.Key) []SplitDrained {
 	e := b.split.entries[k]
 	var reps []SplitDrained
 	for _, side := range splitSides {
 		owner := b.router.StoreTarget(side, k)
-		for _, m := range e.members[side] {
+		for m := range b.cfg.JoinersPerSide {
 			if m != owner {
 				reps = append(reps, SplitDrained{Side: side, Key: k, Gen: e.gen, From: m})
 			}
@@ -70,9 +70,10 @@ func feedDrained(b *dispatcherBolt, reps ...SplitDrained) {
 }
 
 // TestSplitDrainRetiresEntry walks the back half of the lifecycle at the
-// dispatcher: residual → drain reports → retired. Reports with a stale
-// generation, from the side owner, from a non-member, or duplicated must
-// not count toward the quorum; the last genuine report deletes the entry;
+// dispatcher: residual → drain reports → retired. The quorum is every
+// non-owner instance of both sides. Reports with a stale generation, from
+// the side owner, or duplicated must not count toward it; the last
+// genuine report deletes the entry;
 // and a RouteUpdate naming the retired key must then apply — the freeze
 // is lifted and the key migrates like any cold key.
 func TestSplitDrainRetiresEntry(t *testing.T) {
@@ -94,21 +95,11 @@ func TestSplitDrainRetiresEntry(t *testing.T) {
 		t.Fatal("no non-owner members: the test shape cannot exercise the quorum")
 	}
 
-	// None of these may count: wrong generation, the owner itself, and an
-	// instance outside the member set.
+	// Neither may count: wrong generation, the owner itself.
 	stale := reps[0]
 	stale.Gen = 0
 	owner := b.router.StoreTarget(stream.R, k)
-	outsider := -1
-	for i := 0; i < b.cfg.JoinersPerSide; i++ {
-		if i != owner && !slices.Contains(e.members[stream.R], i) {
-			outsider = i
-			break
-		}
-	}
-	feedDrained(b, stale,
-		SplitDrained{Side: stream.R, Key: k, Gen: e.gen, From: owner},
-		SplitDrained{Side: stream.R, Key: k, Gen: e.gen, From: outsider})
+	feedDrained(b, stale, SplitDrained{Side: stream.R, Key: k, Gen: e.gen, From: owner})
 	if n := len(e.drained[stream.R]) + len(e.drained[stream.S]); n != 0 {
 		t.Fatalf("rejected reports were recorded: drained = %+v", e.drained)
 	}

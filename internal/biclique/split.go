@@ -6,7 +6,6 @@ import (
 
 	"fastjoin/internal/engine"
 	"fastjoin/internal/obs"
-	"fastjoin/internal/routing"
 	"fastjoin/internal/stream"
 )
 
@@ -32,9 +31,10 @@ var splitSides = [2]stream.Side{stream.R, stream.S}
 //	           that instance — so once both acks are in, no migration of
 //	           the key can ever start again.
 //	active   — both owners acked: open batches flush, SplitMarks fence
-//	           every lane to the owner and the salt members of both
-//	           sides, stores salt round-robin across the members, probes
-//	           fan out to owner plus members.
+//	           every lane to every instance of both sides (the key's
+//	           members), stores salt round-robin across every instance
+//	           of their side, probes fan out to every instance of the
+//	           other.
 //	residual — the key left both hot sets: stores return to the owner,
 //	           but the members keep their salted shares, keep
 //	           receiving probes, and stay tainted. A residual key that
@@ -86,11 +86,8 @@ type splitEntry struct {
 	// acked records the owners' SplitAcks while the key is pending.
 	acked  [2]bool
 	active bool
-	// members holds the salt member set per side group — the key's
-	// ContRand subgroup of Split.Ways instances, the same deterministic
-	// range on every dispatcher task.
-	members [2][]int
-	// rr is the per-side round-robin cursor for store salting.
+	// rr is the per-side round-robin cursor for store salting across the
+	// side's JoinersPerSide instances.
 	rr [2]uint32
 	// gen numbers the key's residual rounds: every deactivation draws a
 	// fresh value from the task-monotone genSeq, and the members'
@@ -239,10 +236,10 @@ func (b *dispatcherBolt) traceSplit(span obs.SpanID, ev obs.Event) {
 
 // activateSplit switches one key to salted routing. The fencing order is
 // the heart of the exactly-once argument: every open batch flushes first,
-// then a SplitMark is emitted to the owner and every member on both
-// sides' data lanes — so on each lane the mark precedes the first salted
-// store or fanned-out probe, and an instance processes no multi-copy
-// tuple of the key before it is marked (and therefore tainted).
+// then a SplitMark is emitted to every instance on both sides' data
+// lanes — so on each lane the mark precedes the first salted store or
+// fanned-out probe, and an instance processes no multi-copy tuple of the
+// key before it is marked (and therefore tainted).
 func (b *dispatcherBolt) activateSplit(k stream.Key, e *splitEntry, out *engine.Collector) {
 	if e.gen > 0 {
 		// A residual key reheating: it leaves the drain phase (any reports
@@ -254,12 +251,7 @@ func (b *dispatcherBolt) activateSplit(k stream.Key, e *splitEntry, out *engine.
 	e.active = true
 	b.flushAll(out)
 	for _, side := range splitSides {
-		lo, hi := routing.SubgroupRange(b.cfg.JoinersPerSide, b.cfg.Split.Ways, b.cfg.Seed, side, k)
-		e.members[side] = e.members[side][:0]
-		for i := lo; i < hi; i++ {
-			e.members[side] = append(e.members[side], i)
-		}
-		b.markMembers(side, k, e, SplitMark{Side: side, Key: k}, out)
+		b.markMembers(side, SplitMark{Side: side, Key: k}, out)
 	}
 	b.met.KeysSplit.Inc()
 	b.met.SplitKeys.Add(1)
@@ -284,37 +276,33 @@ func (b *dispatcherBolt) deactivateSplit(k stream.Key, e *splitEntry, out *engin
 	// moment the mark lands, the monotonicity the drain proof rests on.
 	b.flushAll(out)
 	for _, side := range splitSides {
-		b.markMembers(side, k, e, UnsplitMark{Side: side, Key: k, Gen: e.gen, Owner: b.router.StoreTarget(side, k)}, out)
+		b.markMembers(side, UnsplitMark{Side: side, Key: k, Gen: e.gen, Owner: b.router.StoreTarget(side, k)}, out)
 	}
 	b.met.KeysUnsplit.Inc()
 	b.met.SplitKeys.Add(-1)
 	b.met.ResidualKeys.Add(1)
 	_, why := sp.heat(k, obs.KindSplitResidual)
 	b.traceSplit(e.span, why)
-	// Degenerate member sets (every member is the owner on both sides —
-	// e.g. Ways clamped to 1 instance per side) have nobody to drain:
-	// retire immediately.
+	// With one instance per side the owners are the only members: nobody
+	// drains, so retire immediately.
 	b.maybeRetireSplit(k, e, out)
 }
 
-// markMembers emits one split mark on the data lanes of the key's owner
-// and every other member of the side; callers flush all lanes first, so
-// the mark rides behind every tuple this task routed there before it.
-func (b *dispatcherBolt) markMembers(side stream.Side, k stream.Key, e *splitEntry, mark any, out *engine.Collector) {
-	owner := b.router.StoreTarget(side, k)
-	out.EmitDirect(tupleStream(side), owner, mark)
-	for _, m := range e.members[side] {
-		if m != owner {
-			out.EmitDirect(tupleStream(side), m, mark)
-		}
+// markMembers emits one split mark on the data lane of every instance of
+// the side — a split key's members, its owner among them; callers flush
+// all lanes first, so the mark rides behind every tuple this task routed
+// there before it.
+func (b *dispatcherBolt) markMembers(side stream.Side, mark any, out *engine.Collector) {
+	for m := range b.cfg.JoinersPerSide {
+		out.EmitDirect(tupleStream(side), m, mark)
 	}
 }
 
 // handleSplitDrained records one member's report that its salted share of
 // a residual key expired. Reports broadcast to every dispatcher task;
 // only the task owning the key's traffic holds the entry, and only
-// reports matching the current residual generation from genuine
-// non-owner members count.
+// reports matching the current residual generation from non-owner
+// members count.
 func (b *dispatcherBolt) handleSplitDrained(v SplitDrained, out *engine.Collector) {
 	sp := b.split
 	e, ok := sp.entries[v.Key]
@@ -322,9 +310,8 @@ func (b *dispatcherBolt) handleSplitDrained(v SplitDrained, out *engine.Collecto
 		// Retired already, reheated, or a stale report from a voided round.
 		return
 	}
-	owner := b.router.StoreTarget(v.Side, v.Key)
-	if v.From == owner || !slices.Contains(e.members[v.Side], v.From) {
-		return // the owner never drains; non-members have nothing to drain
+	if v.From == b.router.StoreTarget(v.Side, v.Key) {
+		return // the owner never drains
 	}
 	if e.drained[v.Side][v.From] {
 		return // duplicate (re-announced or chaos-duplicated) report
@@ -346,7 +333,7 @@ func (b *dispatcherBolt) maybeRetireSplit(k stream.Key, e *splitEntry, out *engi
 	}
 	for _, side := range splitSides {
 		owner := b.router.StoreTarget(side, k)
-		for _, m := range e.members[side] {
+		for m := range b.cfg.JoinersPerSide {
 			if m != owner && !e.drained[side][m] {
 				return
 			}
@@ -370,7 +357,7 @@ func (b *dispatcherBolt) retireSplit(k stream.Key, e *splitEntry, out *engine.Co
 	// reference its (now empty) share has passed.
 	b.flushAll(out)
 	for _, side := range splitSides {
-		b.markMembers(side, k, e, SplitRetire{Side: side, Key: k, Gen: e.gen}, out)
+		b.markMembers(side, SplitRetire{Side: side, Key: k, Gen: e.gen}, out)
 	}
 	delete(b.split.entries, k)
 	b.met.KeysRetired.Inc()
@@ -408,28 +395,29 @@ func (b *dispatcherBolt) filterFrozenKeys(keys []stream.Key) []stream.Key {
 }
 
 // routeSplit routes one tuple of a split (or residual) key: the store
-// copy salts round-robin across the key's own-side members while the
-// split is active (the owner keeps its pre-split share), and the probe
-// copies fan out to the opposite side's owner plus members — every
-// instance that may hold stored tuples of the key.
+// copy salts round-robin across every instance of its side while the
+// split is active, and the probe copies fan out to every instance of the
+// opposite side, each of which may hold stored tuples of the key. The
+// copies beyond the owner's are flagged FanOut: the key's work meter
+// counts one probe base cost per input probe, not one per copy.
 //
 //lint:hotpath
 func (b *dispatcherBolt) routeSplit(t stream.Tuple, e *splitEntry, now int64, out *engine.Collector) {
 	ownSide, oppSide := t.Side, t.Side.Opposite()
+	n := b.cfg.JoinersPerSide
 
 	storeAt := b.router.StoreTarget(ownSide, t.Key)
 	if e.active {
-		m := e.members[ownSide]
-		storeAt = m[int(e.rr[ownSide])%len(m)]
+		storeAt = int(e.rr[ownSide] % uint32(n))
 		e.rr[ownSide]++
 	}
 	b.emitTuple(ownSide, storeAt, TupleMsg{T: t, Op: OpStore, SentAt: now}, out)
 
 	owner := b.router.StoreTarget(oppSide, t.Key)
-	b.emitTuple(oppSide, owner, TupleMsg{T: t, Op: OpProbe, SentAt: now}, out)
-	for _, m := range e.members[oppSide] {
+	for m := range n {
 		if m != owner {
-			b.emitTuple(oppSide, m, TupleMsg{T: t, Op: OpProbe, SentAt: now}, out)
+			b.met.SplitProbeCopies[oppSide].Inc()
 		}
+		b.emitTuple(oppSide, m, TupleMsg{T: t, Op: OpProbe, SentAt: now, FanOut: m != owner}, out)
 	}
 }

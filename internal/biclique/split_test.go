@@ -2,9 +2,13 @@ package biclique
 
 import (
 	"cmp"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"fastjoin/internal/chaos"
 	"fastjoin/internal/core"
@@ -21,7 +25,7 @@ func newTestDispatcher(t *testing.T) *dispatcherBolt {
 		Sources:        []TupleSource{func() (stream.Tuple, bool) { return stream.Tuple{}, false }},
 		JoinersPerSide: 4,
 		Strategy:       StrategyHash,
-		Split:          SplitConfig{Enabled: true, Ways: 2},
+		Split:          SplitConfig{Enabled: true},
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
@@ -239,9 +243,9 @@ func TestUnsplitKeepsTaint(t *testing.T) {
 }
 
 // TestSplitAckHandshakeActivates drives the dispatcher's intent/ack state
-// machine directly: one ack is not enough, both acks activate (members
-// sized to Split.Ways, metrics recorded), and a late duplicate ack is a
-// no-op. Deactivation then leaves a residual entry behind.
+// machine directly: one ack is not enough, both acks activate (every
+// instance of both sides marked, metrics recorded), and a late duplicate
+// ack is a no-op. Deactivation then leaves a residual entry behind.
 func TestSplitAckHandshakeActivates(t *testing.T) {
 	b := newTestDispatcher(t)
 	out := engine.NullCollector()
@@ -257,10 +261,30 @@ func TestSplitAckHandshakeActivates(t *testing.T) {
 	if e == nil || !e.active {
 		t.Fatalf("both acks must activate the split, got entry %+v", e)
 	}
-	for _, side := range splitSides {
-		if len(e.members[side]) != b.cfg.Split.Ways {
-			t.Fatalf("side %v members = %v, want %d salt targets", side, e.members[side], b.cfg.Split.Ways)
+	// The members are every instance of both sides: JoinersPerSide R
+	// tuples salt one store onto each R instance, and each of them probes
+	// every S instance, with all copies but the owner's flagged FanOut.
+	n := b.cfg.JoinersPerSide
+	for i := range n {
+		b.routeTuple(stream.Tuple{Side: stream.R, Key: k, Seq: uint64(i)}, out)
+	}
+	owner := b.router.StoreTarget(stream.S, k)
+	for i := range n {
+		if st := b.lanes[stream.R][i].msgs; len(st) != 1 || st[0].Op != OpStore {
+			t.Fatalf("R instance %d got %+v, want one salted store: the members must be all %d instances", i, st, n)
 		}
+		pr := b.lanes[stream.S][i].msgs
+		if len(pr) != n {
+			t.Fatalf("S instance %d got %d probes, want %d: the fan-out must reach all %d instances", i, len(pr), n, n)
+		}
+		for _, tm := range pr {
+			if tm.Op != OpProbe || tm.FanOut != (i != owner) {
+				t.Fatalf("S instance %d (owner %d) got %+v, want a probe flagged FanOut off the owner", i, owner, tm)
+			}
+		}
+	}
+	if got := b.met.SplitProbeCopies[stream.S].Value(); got != int64(n*(n-1)) {
+		t.Fatalf("SplitProbeCopies[S] = %d, want %d", got, n*(n-1))
 	}
 	if got := b.met.KeysSplit.Value(); got != 1 {
 		t.Fatalf("KeysSplit = %d, want 1", got)
@@ -372,7 +396,7 @@ func TestSplitDetectorPromotesPending(t *testing.T) {
 // migration phase's moderate hot keys do about 15 % each, below it.
 func splitTestConfig(seed uint64) Config {
 	cfg := chaosBaseConfig(seed)
-	cfg.Split = SplitConfig{Enabled: true, Ways: 2}
+	cfg.Split = SplitConfig{Enabled: true}
 	return cfg
 }
 
@@ -416,31 +440,62 @@ func makePhasedWorkload(n int, seed int64) []stream.Tuple {
 // (no fault injection) the monitors must actually split a key, the result
 // set must stay exact, and the joiners' load reports must have carried
 // the split state to the monitors. Paced: splits act on stats ticks.
+//
+// The reports are read while the input flows, by the source: once it
+// ends, the idle side cools the split keys and the next reports carry
+// none, so what they hold after the run depends on how many stats ticks
+// the run takes to settle.
 func TestSplitActivatesOnHotKey(t *testing.T) {
 	tuples := makeWorkload(6000, 30, 0.5, 11)
 	cfg := splitTestConfig(3)
 	// Eight instances: each hot key's work is twice a fair share, not a
 	// hair above it.
 	cfg.JoinersPerSide = 8
-	sys, got := runFinitePaced(t, cfg, tuples)
-	assertExactlyOnce(t, referenceJoin(tuples, cfg.Predicate), got)
+	var (
+		running  atomic.Pointer[System]
+		reported atomic.Int64 // most split keys the reports held at once
+	)
+	src := sliceSource(tuples)
+	sample := func() (stream.Tuple, bool) {
+		if sys := running.Load(); sys != nil {
+			var n int64
+			for _, side := range splitSides {
+				for _, c := range sys.Metrics().SplitReported(side) {
+					n += int64(c)
+				}
+			}
+			if n > reported.Load() {
+				reported.Store(n) // the spout goroutine is the only writer
+			}
+		}
+		return src()
+	}
+	col := newPairCollector()
+	cfg.EmitResults = true
+	cfg.OnResult = col.add
+	cfg.Sources = []TupleSource{paced(sample)}
+	sys, err := Start(cfg)
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	running.Store(sys)
+	if err := sys.WaitComplete(30 * time.Second); err != nil {
+		sys.Stop()
+		t.Fatalf("WaitComplete: %v", err)
+	}
+	sys.Stop()
+	assertExactlyOnce(t, referenceJoin(tuples, cfg.Predicate), col.snapshot())
 
 	met := sys.Metrics()
 	if met.KeysSplit.Value() == 0 {
 		t.Fatal("skewed run with splitting enabled never split a key")
 	}
-	reported := 0
-	for _, side := range splitSides {
-		for _, n := range met.SplitReported(side) {
-			reported += n
-		}
-	}
-	if reported == 0 {
+	if reported.Load() == 0 {
 		t.Error("no joiner load report carried split state to a monitor")
 	}
 	t.Logf("splits=%d unsplits=%d frozen=%d reported=%d migrations=%d",
 		met.KeysSplit.Value(), met.KeysUnsplit.Value(),
-		met.SplitFrozenKeys.Value(), reported, met.Migrations.Value())
+		met.SplitFrozenKeys.Value(), reported.Load(), met.Migrations.Value())
 }
 
 // TestSplitMigrateUnsplitInterleaving runs the full lifecycle — split,
@@ -500,4 +555,164 @@ func TestSplitMigrateUnsplitInterleaving(t *testing.T) {
 			t.Error("split never activated under the mixed profile")
 		}
 	})
+}
+
+// --- a split key's data path, wired by hand ------------------------------
+
+// splitWire is one dispatcher task, every join instance of both sides and
+// the sink, without shufflers or monitors. The dispatcher's input is a
+// script: a hot set naming the key and both owners' acks open the split,
+// then the tuples follow, so every tuple takes the split route in script
+// order. The joiners stay reachable for inspection after the run.
+type splitWire struct {
+	joiners [2][]*joinerBolt
+	pairs   map[stream.PairID]int
+}
+
+// runSplitWire splits key k and routes tuples through it on n instances
+// per side, full history, no predicate and no service-rate emulation.
+func runSplitWire(t *testing.T, n int, k stream.Key, tuples []stream.Tuple) *splitWire {
+	t.Helper()
+	col := newPairCollector()
+	cfg := Config{
+		Sources:        []TupleSource{func() (stream.Tuple, bool) { return stream.Tuple{}, false }},
+		JoinersPerSide: n,
+		Dispatchers:    1,
+		Strategy:       StrategyHash,
+		Split:          SplitConfig{Enabled: true},
+		MatchCost:      0.01,
+		EmitResults:    true,
+		OnResult:       col.add,
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	met := NewSystemMetrics(n)
+	w := &splitWire{}
+	joiners := func(side stream.Side) engine.BoltFactory {
+		w.joiners[side] = make([]*joinerBolt, n)
+		f := newJoinerFactory(&cfg, side, met)
+		return func(task int) engine.Bolt {
+			j := f(task).(*joinerBolt)
+			w.joiners[side][task] = j
+			return j
+		}
+	}
+	script := []any{
+		HotKeys{Side: stream.R, Seq: 1, Fair: 1, Keys: []KeyWork{{Key: k, Work: 2, Hot: true}}},
+		SplitAck{Side: stream.R, Key: k},
+		SplitAck{Side: stream.S, Key: k},
+		ShuffleBatch{Tuples: tuples},
+	}
+	feed := func() (any, bool) {
+		if len(script) == 0 {
+			return nil, false
+		}
+		v := script[0]
+		script = script[1:]
+		return v, true
+	}
+	b := engine.NewBuilder()
+	b.AddSpout(CompShuffler, func(int) engine.Spout { return feedSpout{stream: streamTuples, feed: feed} }, 1)
+	b.AddBolt(CompDispatcher, newDispatcherBolt(&cfg, met), 1).
+		Direct(CompShuffler, streamTuples)
+	b.AddBolt(CompJoinerR, joiners(stream.R), n).
+		Direct(CompDispatcher, streamToR)
+	b.AddBolt(CompJoinerS, joiners(stream.S), n).
+		Direct(CompDispatcher, streamToS)
+	b.AddBolt(CompSink, newSinkFactory(&cfg, met), 1).
+		Shuffle(CompJoinerR, streamResults).
+		Shuffle(CompJoinerS, streamResults)
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	cluster, err := engine.Submit(topo, engine.Config{})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if err := cluster.WaitComplete(30 * time.Second); err != nil {
+		cluster.Stop()
+		t.Fatalf("WaitComplete: %v", err)
+	}
+	cluster.Stop()
+	w.pairs = col.snapshot()
+	return w
+}
+
+// hotKeyTuples alternates R and S tuples: every third one of key hot,
+// the rest spread over the cold keys 100..119.
+func hotKeyTuples(n int, hot stream.Key) []stream.Tuple {
+	tuples := make([]stream.Tuple, n)
+	now := stream.Now()
+	for i := range tuples {
+		k := stream.Key(100 + i%20)
+		if i%3 == 0 {
+			k = hot
+		}
+		tuples[i] = stream.Tuple{Side: stream.Side(i % 2), Key: k, Seq: uint64(i / 2), EventTime: now + int64(i)}
+	}
+	return tuples
+}
+
+// TestSplitSaltsAcrossEverySideInstance: a split key's members are every
+// instance of both sides, not a subgroup. With six instances per side,
+// every instance of each side is marked and tainted and stores a share
+// of the key's tuples, and the output is exactly the brute-force join.
+func TestSplitSaltsAcrossEverySideInstance(t *testing.T) {
+	const hot = stream.Key(7)
+	tuples := hotKeyTuples(600, hot)
+	w := runSplitWire(t, 6, hot, tuples)
+	assertExactlyOnce(t, referenceJoin(tuples, nil), w.pairs)
+	for _, side := range splitSides {
+		for i, j := range w.joiners[side] {
+			if !j.splitTaint[hot] || !j.splitActive[hot] {
+				t.Errorf("%v instance %d: taint=%v active=%v, want the split mark on every instance",
+					side, i, j.splitTaint[hot], j.splitActive[hot])
+			}
+			if got := j.store.KeyCount(hot); got == 0 {
+				t.Errorf("%v instance %d stores none of the split key's tuples", side, i)
+			}
+		}
+	}
+}
+
+// TestSplitMeterCountsOneProbeBase: a split key's work, summed over a
+// side, is what its input would cost unsplit — 1 per store, the probe
+// base cost once per input probe, MatchCost per scanned tuple — however
+// many instances its probes fan out to. Scans are counted from the input
+// order: with one dispatcher task and FIFO lanes, a probe scans every
+// tuple of the key stored on the other side before it.
+func TestSplitMeterCountsOneProbeBase(t *testing.T) {
+	const hot = stream.Key(3)
+	for _, n := range []int{2, 3, 8} {
+		t.Run(fmt.Sprintf("joiners=%d", n), func(t *testing.T) {
+			var tuples []stream.Tuple
+			for _, tp := range hotKeyTuples(300, hot) {
+				if tp.Key == hot {
+					tuples = append(tuples, tp)
+				}
+			}
+			w := runSplitWire(t, n, hot, tuples)
+			var stores, probes, scanned [2]float64
+			for _, tp := range tuples {
+				own, opp := tp.Side, tp.Side.Opposite()
+				probes[opp]++
+				scanned[opp] += stores[opp]
+				stores[own]++
+			}
+			for _, side := range splitSides {
+				want := stores[side] + probeBaseCost*probes[side] + 0.01*scanned[side]
+				var key, total float64
+				for _, j := range w.joiners[side] {
+					key += j.workCur[hot]
+					total += j.work
+				}
+				if math.Abs(key-want) > 1e-6*want || math.Abs(total-want) > 1e-6*want {
+					t.Errorf("side %v: key work %.3f, instance work %.3f, want %.3f (%v stores + %v × %v probes + 0.01 × %v scanned)",
+						side, key, total, want, stores[side], probeBaseCost, probes[side], scanned[side])
+				}
+			}
+		})
+	}
 }

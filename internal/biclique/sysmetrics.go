@@ -72,6 +72,9 @@ type SystemMetrics struct {
 	// the split entry, and the key returned to single-owner routing with
 	// its freeze and member taints lifted.
 	KeysRetired metrics.Counter
+	// SplitProbeCopies counts the probe copies fanned out to a split key's
+	// non-owner instances, JoinersPerSide−1 per probe, by receiving side.
+	SplitProbeCopies [2]metrics.Counter
 
 	// gcBase is the runtime memory state captured at NewSystemMetrics;
 	// RuntimeSample reports GC activity as deltas against it so the numbers

@@ -190,6 +190,11 @@ func (o *obsSource) ObsFamilies() []obs.Family {
 			Type: obs.TypeGauge, Samples: []obs.Sample{{Value: float64(st.ResidualKeys)}}},
 		obs.Family{Name: "fastjoin_keys_retired_total", Help: "Split keys fully drained and returned to single-owner routing.",
 			Type: obs.TypeCounter, Samples: []obs.Sample{{Value: float64(st.KeysRetired)}}},
+		obs.Family{Name: "fastjoin_split_probe_copies_total", Help: "Probe copies fanned out to instances other than a split key's owner, by receiving side.",
+			Type: obs.TypeCounter, Samples: []obs.Sample{
+				{Labels: obs.L("side", "R"), Value: float64(m.SplitProbeCopies[stream.R].Value())},
+				{Labels: obs.L("side", "S"), Value: float64(m.SplitProbeCopies[stream.S].Value())},
+			}},
 		obs.Family{Name: "fastjoin_trace_events_total", Help: "Control-plane trace events emitted.",
 			Type: obs.TypeCounter, Samples: []obs.Sample{{Value: float64(s.trace.Emitted())}}},
 		obs.Family{Name: "fastjoin_trace_events_evicted_total", Help: "Trace events evicted by the bounded ring.",

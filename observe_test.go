@@ -71,6 +71,7 @@ func TestObserveEndpoint(t *testing.T) {
 		"fastjoin_engine_queue_depth",
 		"fastjoin_engine_queue_high_water",
 		"fastjoin_migrations_total",
+		"fastjoin_split_probe_copies_total",
 		"fastjoin_trace_events_total",
 	} {
 		if !strings.Contains(body, "# TYPE "+family+" ") {
@@ -80,6 +81,13 @@ func TestObserveEndpoint(t *testing.T) {
 	// Per-instance samples are labeled by side and instance.
 	if !strings.Contains(body, `fastjoin_instance_load{side="R",instance="0"}`) {
 		t.Errorf("/metrics missing per-instance load sample:\n%s", body)
+	}
+
+	// The split fan-out counter is labeled by the receiving side.
+	for _, side := range []string{"R", "S"} {
+		if !strings.Contains(body, `fastjoin_split_probe_copies_total{side="`+side+`"} 0`) {
+			t.Errorf("/metrics missing the side %s split probe copies sample", side)
+		}
 	}
 
 	// Store memory is labeled by side, instance and kind, and Stats sums it.

@@ -95,15 +95,15 @@ type MigrationOptions struct {
 	// SplitThreshold > 0 enables hot-key splitting; the value is not
 	// read. A key whose join work (see ServiceRate), summed over a side,
 	// clearly exceeds an instance's fair share of that side's work (by
-	// more than 3·√share) is split — its stored tuples salt across
-	// SplitWays join instances and probes fan out to all of them —
-	// instead of being migrated whole, which cannot help a key hotter
-	// than a whole instance's share. It un-splits below half the fair
-	// share. 0 (the default) disables splitting; the valid range is
-	// (0, 1]. FastJoin kinds only.
+	// more than 3·√share) is split — its stored tuples salt across every
+	// join instance of its side and its probes fan out to every instance
+	// of the other — instead of being migrated whole, which cannot help a
+	// key hotter than a whole instance's share. It un-splits below half
+	// the fair share. 0 (the default) disables splitting; the valid range
+	// is (0, 1]. FastJoin kinds only.
 	SplitThreshold float64
-	// SplitWays is how many instances per side a split key salts across
-	// (default 4, clamped to Joiners).
+	// SplitWays is not read: a split key salts across all Joiners
+	// instances of its side.
 	SplitWays int
 }
 

@@ -81,6 +81,7 @@ for family in \
   fastjoin_split_keys \
   fastjoin_split_residual_keys \
   fastjoin_keys_retired_total \
+  fastjoin_split_probe_copies_total \
   fastjoin_trace_events_total; do
   if ! grep -q "^# TYPE $family " <<<"$metrics"; then
     echo "obs smoke FAILED: /metrics missing family $family" >&2

@@ -138,8 +138,8 @@ func TestSplitByJoinWork(t *testing.T) {
 // the same configuration never splits.
 func TestSplitUniformNeverSplits(t *testing.T) {
 	sys, _ := splitRun(t, capacityOptions(), splitInput(12000, 0, 0, 400, 2), 0, nil)
-	if st := sys.Stats(); st.KeysSplit != 0 {
-		t.Fatalf("uniform input split %d keys: %+v", st.KeysSplit, st)
+	if st := sys.Stats(); st.KeysSplit != 0 || st.SplitProbeCopies != 0 {
+		t.Fatalf("uniform input split %d keys, %d probe copies: %+v", st.KeysSplit, st.SplitProbeCopies, st)
 	}
 }
 
@@ -170,6 +170,9 @@ func TestSplitSteadyKeyNeverFlaps(t *testing.T) {
 	st := sys.Stats()
 	if st.KeysSplit != 1 || st.KeysUnsplit != 1 || st.KeysRetired != 1 {
 		t.Fatalf("want one split, one cool-down and one retire: %+v", st)
+	}
+	if st.SplitProbeCopies == 0 {
+		t.Fatalf("the split key's probes never fanned out: %+v", st)
 	}
 	for _, ev := range sys.Trace() {
 		if ev.Kind == TraceSplitResidual && ev.At < inputEnd {
